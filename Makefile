@@ -12,7 +12,8 @@ test:
 
 # static analysis smoke test: translated queries must lint clean, a
 # hand-written SQL statement goes through the same rules, and every example
-# query lints without error findings both blind and schema-aware.
+# query lints without error findings both blind and schema-aware, and
+# returns the same nodes blind and schema-aware under GLOBAL and LOCAL.
 lint:
 	$(OXQ) lint '/catalog/book[author]/title'
 	$(OXQ) lint --sql 'SELECT a.id FROM doc_global a, doc_global b WHERE a.parent = b.id'
@@ -21,6 +22,11 @@ lint:
 	  echo "lint: $$q"; \
 	  $(OXQ) lint "$$q" >/dev/null; \
 	  $(OXQ) lint --dtd examples/catalog.dtd "$$q" >/dev/null; \
+	  for e in global local; do \
+	    blind=$$($(OXQ) query -e $$e examples/catalog.xml "$$q"); \
+	    schema=$$($(OXQ) query -e $$e --dtd examples/catalog.dtd examples/catalog.xml "$$q"); \
+	    [ "$$blind" = "$$schema" ] || { echo "blind and --dtd results differ under $$e: $$q"; exit 1; }; \
+	  done; \
 	done < examples/queries.txt
 
 # fault injection: truncate the WAL at every byte offset and kill at every

@@ -513,8 +513,10 @@ let e14 () =
       List.iter
         (fun (enc, _) ->
           (* the schema-aware timing includes the analysis itself *)
-          let blind () = O.Translate.eval db ~doc:"e14" enc path in
-          let schema () = Analysis.Schema_check.eval dtd db ~doc:"e14" enc path in
+          let blind () = O.Translate.eval db ~doc:"e14" enc [ path ] in
+          let schema () =
+            Analysis.Schema_check.eval dtd db ~doc:"e14" enc [ path ]
+          in
           let bres = blind () and sres = schema () in
           if ids bres <> ids sres then
             Printf.printf "   RESULT MISMATCH under %s!\n" (O.Encoding.name enc);

@@ -130,47 +130,48 @@ let schema_analyze dtd root path =
   let roots = Option.map (fun r -> [ r ]) root in
   Analysis.Schema_check.analyze ?roots dtd path
 
+(* attributes cannot stand alone as XML: print them as name="value" *)
+let render_row store (row : O.Node_row.t) =
+  match row.O.Node_row.kind with
+  | O.Doc_index.Attr ->
+      Printf.sprintf "%s=\"%s\"" row.O.Node_row.tag
+        (Xmllib.Printer.escape_attr row.O.Node_row.value)
+  | _ ->
+      Xmllib.Printer.node_to_string
+        (O.Api.Store.subtree store ~id:row.O.Node_row.id)
+
 let query_cmd =
   let run enc path q trace db_dir dtd_path root =
     wrap (fun () ->
         let go () =
           let db, store = load_store ?db_dir path enc in
           Fun.protect ~finally:(fun () -> Reldb.Db.close db) @@ fun () ->
-          match dtd_path with
-          | None -> O.Api.Store.query_nodes store q
-          | Some dp -> (
-              let dtd = load_dtd dp in
-              match Xmllib.Dtd.validate dtd (O.Api.Store.document store) with
-              | Error msgs ->
-                  Printf.eprintf
-                    "warning: document does not satisfy the DTD (%d \
-                     violation(s)); translating without schema analysis\n"
-                    (List.length msgs);
-                  O.Api.Store.query_nodes store q
-              | Ok () ->
-                  let sat =
-                    List.filter_map
-                      (fun p ->
-                        let r = schema_analyze dtd root p in
-                        if r.Analysis.Schema_check.satisfiable then
-                          Some r.Analysis.Schema_check.rewritten
-                        else None)
-                      (O.Xpath_parser.parse_union q)
-                  in
-                  if sat = [] then []
-                  else
-                    let res = O.Translate.eval_union db ~doc:"doc" enc sat in
-                    List.map
-                      (fun (row : O.Node_row.t) ->
-                        O.Api.Store.subtree store ~id:row.O.Node_row.id)
-                      res.O.Translate.rows)
+          let blind () = O.Api.Store.query store q in
+          let res =
+            match dtd_path with
+            | None -> blind ()
+            | Some dp -> (
+                let dtd = load_dtd dp in
+                match Xmllib.Dtd.validate dtd (O.Api.Store.document store) with
+                | Error msgs ->
+                    Printf.eprintf
+                      "warning: document does not satisfy the DTD (%d \
+                       violation(s)); translating without schema analysis\n"
+                      (List.length msgs);
+                    blind ()
+                | Ok () ->
+                    let roots = Option.map (fun r -> [ r ]) root in
+                    Analysis.Schema_check.eval ?roots dtd db
+                      ~doc:(O.Api.Store.name store) enc
+                      (O.Xpath_parser.parse_union q))
+          in
+          Obs.Span.with_ "reconstruct" (fun () ->
+              List.map (render_row store) res.O.Translate.rows)
         in
-        let nodes, spans =
+        let lines, spans =
           if trace then Obs.Span.collect go else (go (), [])
         in
-        List.iter
-          (fun node -> print_endline (Xmllib.Printer.node_to_string node))
-          nodes;
+        List.iter print_endline lines;
         if trace then begin
           print_endline "-- trace:";
           print_string (Obs.Span.to_string spans)

@@ -64,11 +64,6 @@ type result = {
           duplicate result rows, so [DISTINCT] may be skipped *)
 }
 
-val enabled : bool ref
-(** Global gate (default [true]). When [false], {!analyze} returns the
-    path unchanged with no findings and {!eval} translates blind — the
-    differential tests flip this to compare schema-aware and blind runs. *)
-
 val analyze :
   ?roots:string list -> Xmllib.Dtd.t -> Ordered_xml.Xpath_ast.path -> result
 (** Run the three passes on an absolute (or root-context) path. *)
@@ -79,8 +74,10 @@ val eval :
   Reldb.Db.t ->
   doc:string ->
   Ordered_xml.Encoding.t ->
-  Ordered_xml.Xpath_ast.path ->
+  Ordered_xml.Xpath_ast.union ->
   Ordered_xml.Translate.result
-(** Schema-aware evaluation: analyze, short-circuit unsatisfiable paths to
-    an empty result with zero SQL statements, otherwise evaluate the
-    rewritten path with {!Ordered_xml.Translate.eval}. *)
+(** Schema-aware evaluation of a union: analyze each path and drop the
+    unsatisfiable ones. When none is left, the result is empty and no SQL
+    statement is issued. Otherwise the rewritten paths are evaluated
+    together with {!Ordered_xml.Translate.eval}. The caller checks that
+    the document is valid under the DTD. *)

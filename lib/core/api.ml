@@ -31,9 +31,7 @@ module Store = struct
     (* translation emits and executes SQL as it walks the steps, so engine
        spans (sql-parse / plan / exec) nest under [translate] *)
     Obs.Span.with_ "translate" @@ fun () ->
-    match parsed with
-    | [ p ] -> Translate.eval t.db ~doc:t.name t.enc p
-    | u -> Translate.eval_union t.db ~doc:t.name t.enc u
+    Translate.eval t.db ~doc:t.name t.enc parsed
 
   let query_ids t xpath =
     List.map (fun (r : Node_row.t) -> r.Node_row.id) (query t xpath).Translate.rows

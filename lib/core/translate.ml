@@ -42,69 +42,27 @@ let tagged_rows st sql =
 let plain_rows st sql = List.map (Node_row.of_tuple st.enc) (run_sql st sql)
 
 (* ------------------------------------------------------------------ *)
-(* SQL fragments                                                       *)
+(* Context references                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_cond axis (test : A.node_test) =
-  match (axis, test) with
-  | A.Attribute, A.Name n ->
-      Printf.sprintf "e.kind = 2 AND e.tag = %s" (V.to_sql_literal (V.Str n))
-  | A.Attribute, (A.Any_name | A.Node_test) -> "e.kind = 2"
-  | A.Attribute, (A.Text_test | A.Comment_test) -> "e.kind = 9" (* empty *)
-  | _, A.Name n ->
-      Printf.sprintf "e.kind = 0 AND e.tag = %s" (V.to_sql_literal (V.Str n))
-  | _, A.Any_name -> "e.kind = 0"
-  | _, A.Text_test -> "e.kind = 1"
-  | _, A.Comment_test -> "e.kind = 3"
-  | _, A.Node_test -> "e.kind <> 2"
-
-(* Accessors into the context: either column references of a bound context
-   table or literals for a single inlined context row. *)
-type ctx_ref = {
-  r_id : string;
-  r_parent : string;
-  r_ord : string;  (* g_order / l_order / path *)
-  r_end : string;  (* g_end *)
-  r_ub : string;  (* dewey path upper bound *)
-}
-
-let ctx_ref_table = function
-  | Encoding.Global | Encoding.Global_gap ->
-      { r_id = "c.id"; r_parent = "c.parent"; r_ord = "c.g_order"; r_end = "c.g_end"; r_ub = "" }
-  | Encoding.Local ->
-      { r_id = "c.id"; r_parent = "c.parent"; r_ord = "c.l_order"; r_end = ""; r_ub = "" }
-  | Encoding.Dewey_enc | Encoding.Dewey_caret ->
-      { r_id = "c.id"; r_parent = "c.parent"; r_ord = "c.path"; r_end = ""; r_ub = "c.path_ub" }
+(* A bound context is either a context table [c] or, for a small context,
+   one row inlined as literals. *)
+let ctx_ref_table enc = Axis_sql.of_alias ~ub:"c.path_ub" enc "c"
 
 let ctx_ref_literal (r : Node_row.t) =
-  let parent =
+  let id = string_of_int r.Node_row.id
+  and parent =
     match r.Node_row.parent with Some p -> string_of_int p | None -> "NULL"
   in
+  let at ord g_end ub = { Axis_sql.id; parent; ord; g_end; ub } in
   match r.Node_row.ord with
-  | Node_row.Og (o, e) ->
-      {
-        r_id = string_of_int r.Node_row.id;
-        r_parent = parent;
-        r_ord = string_of_int o;
-        r_end = string_of_int e;
-        r_ub = "";
-      }
-  | Node_row.Ol o ->
-      {
-        r_id = string_of_int r.Node_row.id;
-        r_parent = parent;
-        r_ord = string_of_int o;
-        r_end = "";
-        r_ub = "";
-      }
+  | Node_row.Og (o, e) -> at (string_of_int o) (string_of_int e) ""
+  | Node_row.Ol o -> at (string_of_int o) "" ""
   | Node_row.Od p ->
-      {
-        r_id = string_of_int r.Node_row.id;
-        r_parent = parent;
-        r_ord = V.to_sql_literal (V.Bytes p);
-        r_end = "";
-        r_ub = V.to_sql_literal (V.Bytes (Dewey.prefix_upper_bound p));
-      }
+      at
+        (V.to_sql_literal (V.Bytes p))
+        ""
+        (V.to_sql_literal (V.Bytes (Dewey.prefix_upper_bound p)))
 
 let ctx_cols = function
   | Encoding.Global | Encoding.Global_gap ->
@@ -128,100 +86,40 @@ let ctx_tuple enc (r : Node_row.t) =
       |]
   | _ -> invalid_arg "Translate.ctx_tuple: row/encoding mismatch"
 
-(* WHERE fragment implementing the axis from a context reference; [None]
-   when the axis is not SQL-expressible under the encoding and must be
-   handled by the middle tier (LOCAL document-order axes). *)
-let axis_cond enc (cr : ctx_ref) (axis : A.axis) =
-  match (enc, axis) with
-  | _, A.Child ->
-      Some (Printf.sprintf "e.parent = %s AND e.kind <> 2" cr.r_id)
-  | _, A.Attribute -> Some (Printf.sprintf "e.parent = %s" cr.r_id)
-  | _, A.Parent -> Some (Printf.sprintf "e.id = %s" cr.r_parent)
-  | (Encoding.Global | Encoding.Global_gap), A.Descendant ->
-      Some
-        (Printf.sprintf
-           "e.g_order > %s AND e.g_order < %s AND e.kind <> 2" cr.r_ord cr.r_end)
-  | (Encoding.Global | Encoding.Global_gap), A.Following_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.g_order > %s AND e.kind <> 2" cr.r_parent cr.r_ord)
-  | (Encoding.Global | Encoding.Global_gap), A.Preceding_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.g_order < %s AND e.kind <> 2" cr.r_parent cr.r_ord)
-  | (Encoding.Global | Encoding.Global_gap), A.Following ->
-      Some (Printf.sprintf "e.g_order > %s AND e.kind <> 2" cr.r_end)
-  | (Encoding.Global | Encoding.Global_gap), A.Preceding ->
-      Some (Printf.sprintf "e.g_end < %s AND e.kind <> 2" cr.r_ord)
-  | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Descendant ->
-      Some
-        (Printf.sprintf "e.path > %s AND e.path < %s AND e.kind <> 2" cr.r_ord
-           cr.r_ub)
-  | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Following_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.path > %s AND e.kind <> 2" cr.r_parent cr.r_ord)
-  | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Preceding_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.path < %s AND e.kind <> 2" cr.r_parent cr.r_ord)
-  | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Following ->
-      Some (Printf.sprintf "e.path >= %s AND e.kind <> 2" cr.r_ub)
-  | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Preceding ->
-      (* ancestors (path prefixes) are filtered in the middle tier *)
-      Some (Printf.sprintf "e.path < %s AND e.kind <> 2" cr.r_ord)
-  | Encoding.Local, A.Following_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.l_order > %s AND e.l_order > 0" cr.r_parent cr.r_ord)
-  | Encoding.Local, A.Preceding_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.l_order < %s AND e.l_order > 0" cr.r_parent cr.r_ord)
-  | (Encoding.Global | Encoding.Global_gap), A.Ancestor ->
-      (* strict interval containment *)
-      Some
-        (Printf.sprintf "e.g_order < %s AND e.g_end > %s" cr.r_ord cr.r_end)
-  | Encoding.Local, (A.Descendant | A.Following | A.Preceding) -> None
-  | (Encoding.Local | Encoding.Dewey_enc | Encoding.Dewey_caret), A.Ancestor -> None
-  | _, (A.Self | A.Descendant_or_self | A.Ancestor_or_self) -> None
-
 (* ------------------------------------------------------------------ *)
 (* Candidate generation                                                *)
 (* ------------------------------------------------------------------ *)
 
 let inline_threshold = 4
 
-(* Run the axis+test SQL for every context row, tagging results with the
-   producing context id. *)
-let sql_candidates st ctx_rows axis test =
-  let tc = test_cond axis test in
+(* Run the axis range and node test for every context row, tagging results
+   with the producing context id. *)
+let sql_candidates st ctx_rows cond axis test =
+  let tc = Axis_sql.test_cond ~e:"e" axis test in
   if List.length ctx_rows <= inline_threshold then
     List.concat_map
       (fun r ->
-        match axis_cond st.enc (ctx_ref_literal r) axis with
-        | None -> assert false
-        | Some cond ->
-            let sql =
-              Printf.sprintf "SELECT %s FROM %s e WHERE %s AND %s"
-                (Node_row.select_list st.enc "e")
-                st.tname cond tc
-            in
-            List.map (fun row -> (r.Node_row.id, row)) (plain_rows st sql))
+        let sql =
+          Printf.sprintf "SELECT %s FROM %s e WHERE %s AND %s"
+            (Node_row.select_list st.enc "e")
+            st.tname
+            (cond (ctx_ref_literal r) ~e:"e")
+            tc
+        in
+        List.map (fun row -> (r.Node_row.id, row)) (plain_rows st sql))
       ctx_rows
   else begin
     let cols = ctx_cols st.enc in
     let rows = List.map (ctx_tuple st.enc) ctx_rows in
     Temp.with_ctx st.db ~cols ~rows (fun ctx ->
-        match axis_cond st.enc (ctx_ref_table st.enc) axis with
-        | None -> assert false
-        | Some cond ->
-            let sql =
-              Printf.sprintf "SELECT c.id, %s FROM %s e, %s c WHERE %s AND %s"
-                (Node_row.select_list st.enc "e")
-                st.tname ctx cond tc
-            in
-            tagged_rows st sql)
+        let sql =
+          Printf.sprintf "SELECT c.id, %s FROM %s e, %s c WHERE %s AND %s"
+            (Node_row.select_list st.enc "e")
+            st.tname ctx
+            (cond (ctx_ref_table st.enc) ~e:"e")
+            tc
+        in
+        tagged_rows st sql)
   end
 
 let test_passes axis (test : A.node_test) (r : Node_row.t) =
@@ -313,48 +211,50 @@ let fetch_by_ids st ids =
              (Node_row.select_list st.enc "e")
              st.tname ctx))
 
-(* Document-order sort keys for LOCAL rows: walk parent chains, batched one
-   round of point lookups (or one join) per level. The key is the root path
-   of sibling positions. *)
-let local_order_keys st (rows : Node_row.t list) =
-  let info : (int, int option * int) Hashtbl.t = Hashtbl.create 64 in
-  let record (r : Node_row.t) =
-    let o = match r.Node_row.ord with Node_row.Ol o -> o | _ -> 0 in
-    Hashtbl.replace info r.Node_row.id (r.Node_row.parent, o)
-  in
-  List.iter record rows;
-  let missing () =
-    Hashtbl.fold
-      (fun _ (parent, _) acc ->
-        match parent with
-        | Some p when not (Hashtbl.mem info p) -> p :: acc
-        | _ -> acc)
-      info []
-    |> List.sort_uniq compare
-  in
+(* LOCAL parent chains: the rows and all their ancestors, by id, fetched one
+   batched round of point lookups (or one join) per level. *)
+let local_chains st (rows : Node_row.t list) =
+  let known : (int, Node_row.t) Hashtbl.t = Hashtbl.create 64 in
+  let add (r : Node_row.t) = Hashtbl.replace known r.Node_row.id r in
+  List.iter add rows;
   let rec fill () =
-    match missing () with
-    | [] -> ()
-    | ids ->
-        List.iter record (fetch_by_ids st ids);
-        fill ()
+    let missing =
+      Hashtbl.fold
+        (fun _ (r : Node_row.t) acc ->
+          match r.Node_row.parent with
+          | Some p when not (Hashtbl.mem known p) -> p :: acc
+          | _ -> acc)
+        known []
+    in
+    if missing <> [] then begin
+      List.iter add (fetch_by_ids st missing);
+      fill ()
+    end
   in
   fill ();
+  known
+
+(* Document-order sort keys over a chain map: the root path of sibling
+   positions. *)
+let chain_keys known =
   let memo : (int, int list) Hashtbl.t = Hashtbl.create 64 in
   let rec key id =
     match Hashtbl.find_opt memo id with
     | Some k -> k
     | None ->
         let k =
-          match Hashtbl.find_opt info id with
+          match Hashtbl.find_opt known id with
           | None -> []
-          | Some (None, o) -> [ o ]
-          | Some (Some p, o) -> key p @ [ o ]
+          | Some (r : Node_row.t) -> (
+              let o = match r.Node_row.ord with Node_row.Ol o -> o | _ -> 0 in
+              match r.Node_row.parent with None -> [ o ] | Some p -> key p @ [ o ])
         in
         Hashtbl.replace memo id k;
         k
   in
   fun (r : Node_row.t) -> key r.Node_row.id
+
+let local_order_keys st rows = chain_keys (local_chains st rows)
 
 (* LOCAL descendants via BFS, threading sibling-position keys for ordering.
    Returns (ctx id, row, key-relative-to-ctx). *)
@@ -450,232 +350,164 @@ let is_reverse_axis = function
   | A.Preceding | A.Preceding_sibling | A.Ancestor | A.Ancestor_or_self -> true
   | _ -> false
 
-(* Candidates for one step from a deduplicated context row list. Returns
-   (ctx id, row) pairs plus an optional doc-order key function used to sort
-   groups when the row's own ord is not a document order (LOCAL descendants). *)
-let rec step_candidates st ctx_rows (step : A.step) :
-    (int * Node_row.t) list * (Node_row.t -> int list) option =
-  let self_pairs () =
-    List.filter_map
-      (fun (r : Node_row.t) ->
-        if test_passes step.A.axis step.A.test r then Some (r.Node_row.id, r)
-        else None)
-      ctx_rows
-  in
-  match step.A.axis with
-  | A.Self -> (self_pairs (), None)
-  | A.Ancestor_or_self ->
-      let self =
-        List.filter_map
-          (fun (r : Node_row.t) ->
-            if test_passes A.Child step.A.test r then Some (r.Node_row.id, r)
-            else None)
-          ctx_rows
+(* DEWEY [preceding] ranges also hold the context's ancestors, whose paths
+   are proper prefixes of the context's path. *)
+let drop_ancestors ctx_rows pairs =
+  let ctx_path = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Node_row.t) -> Hashtbl.replace ctx_path r.Node_row.id r.Node_row.ord)
+    ctx_rows;
+  List.filter
+    (fun (ctx, (r : Node_row.t)) ->
+      match (Hashtbl.find_opt ctx_path ctx, r.Node_row.ord) with
+      | Some (Node_row.Od cp), Node_row.Od rp ->
+          not
+            (String.length rp < String.length cp
+            && String.sub cp 0 (String.length rp) = rp)
+      | _ -> true)
+    pairs
+
+(* Ancestors without a range predicate. DEWEY: every ancestor's path is a
+   proper prefix of the context's, fetched by a point query on the unique
+   path index (prefixes that are no node, i.e. carets, return nothing).
+   LOCAL: walk the parent chains, and sort by the same chain map. *)
+let ancestor_candidates st ctx_rows test =
+  match st.enc with
+  | Encoding.Local ->
+      let known = local_chains st ctx_rows in
+      let rec up ctx (r : Node_row.t) acc =
+        match Option.bind r.Node_row.parent (Hashtbl.find_opt known) with
+        | None -> acc
+        | Some a ->
+            up ctx a (if test_passes A.Ancestor test a then (ctx, a) :: acc else acc)
       in
-      let anc, keys =
-        step_candidates st ctx_rows { step with A.axis = A.Ancestor }
-      in
-      (* reverse-axis sorting puts self before its ancestors; LOCAL needs
-         the key function to cover the self rows too *)
-      let keys =
-        match st.enc with
-        | Encoding.Local ->
-            Some (local_order_keys st (List.map snd (self @ anc)))
-        | _ -> keys
-      in
-      (self @ anc, keys)
-  | A.Ancestor when st.enc = Encoding.Dewey_enc || st.enc = Encoding.Dewey_caret ->
-      (* every ancestor's path is a proper prefix of the context's path;
-         fetch each prefix with a point query on the unique path index
-         (prefixes that are no node — carets — simply return nothing) *)
+      ( List.concat_map (fun (c : Node_row.t) -> up c.Node_row.id c []) ctx_rows,
+        Some (chain_keys known) )
+  | _ ->
       let pairs =
         List.concat_map
           (fun (c : Node_row.t) ->
             let path = Node_row.dewey c in
-            let prefixes =
-              List.init
-                (max 0 (Array.length path - 1))
-                (fun i -> Array.sub path 0 (i + 1))
-            in
-            List.concat_map
-              (fun prefix ->
-                let rows =
-                  plain_rows st
-                    (Printf.sprintf "SELECT %s FROM %s e WHERE e.path = %s"
-                       (Node_row.select_list st.enc "e")
-                       st.tname
-                       (V.to_sql_literal (V.Bytes (Dewey.encode prefix))))
-                in
-                List.filter_map
-                  (fun row ->
-                    if test_passes step.A.axis step.A.test row then
-                      Some (c.Node_row.id, row)
-                    else None)
-                  rows)
-              prefixes)
+            List.init
+              (max 0 (Array.length path - 1))
+              (fun i -> Array.sub path 0 (i + 1))
+            |> List.concat_map (fun prefix ->
+                   plain_rows st
+                     (Printf.sprintf "SELECT %s FROM %s e WHERE e.path = %s"
+                        (Node_row.select_list st.enc "e")
+                        st.tname
+                        (V.to_sql_literal (V.Bytes (Dewey.encode prefix))))
+                   |> List.filter_map (fun row ->
+                          if test_passes A.Ancestor test row then
+                            Some (c.Node_row.id, row)
+                          else None)))
           ctx_rows
       in
       (pairs, None)
-  | A.Ancestor when st.enc = Encoding.Local ->
-      (* walk parent chains, one batched round of point lookups per level *)
-      let cache : (int, Node_row.t) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (r : Node_row.t) -> Hashtbl.replace cache r.Node_row.id r)
-        ctx_rows;
-      let rec chains frontier acc =
-        (* frontier: (ctx id, parent id to resolve) *)
-        let missing =
-          List.filter_map
-            (fun (_, pid) ->
-              if Hashtbl.mem cache pid then None else Some pid)
-            frontier
-          |> List.sort_uniq compare
-        in
-        List.iter
-          (fun (r : Node_row.t) -> Hashtbl.replace cache r.Node_row.id r)
-          (if missing = [] then [] else fetch_by_ids st missing);
-        let acc, next =
-          List.fold_left
-            (fun (acc, next) (ctx, pid) ->
-              match Hashtbl.find_opt cache pid with
-              | None -> (acc, next)
-              | Some row ->
-                  let next =
-                    match row.Node_row.parent with
-                    | Some gp -> (ctx, gp) :: next
-                    | None -> next
-                  in
-                  ((ctx, row) :: acc, next))
-            (acc, []) frontier
-        in
-        if next = [] then acc else chains next acc
-      in
-      let frontier =
-        List.filter_map
-          (fun (c : Node_row.t) ->
-            Option.map (fun p -> (c.Node_row.id, p)) c.Node_row.parent)
-          ctx_rows
-      in
-      let all = chains frontier [] in
-      let pairs =
-        List.filter (fun (_, row) -> test_passes step.A.axis step.A.test row) all
-      in
-      let keyfn = local_order_keys st (List.map snd pairs) in
-      (pairs, Some keyfn)
-  | A.Descendant_or_self ->
-      let self =
-        List.filter_map
-          (fun (r : Node_row.t) ->
-            if test_passes A.Child step.A.test r then Some (r.Node_row.id, r)
-            else None)
-          ctx_rows
-      in
-      let desc, keys =
-        step_candidates st ctx_rows { step with A.axis = A.Descendant }
-      in
-      (* self sorts before its descendants under both ord and key sorting *)
-      (self @ desc, keys)
-  | A.Descendant when st.enc = Encoding.Local ->
-      let entries = local_descendants st ctx_rows in
-      let pairs =
-        List.filter_map
-          (fun (origin, row, _key) ->
-            if test_passes step.A.axis step.A.test row then Some (origin, row)
-            else None)
-          entries
-      in
-      (* positional predicates need each group in document order; relative
-         BFS keys are ambiguous when a row descends from several context
-         nodes, so compute absolute root-path keys (more parent-chain SQL —
-         the honest LOCAL cost) *)
-      let keyfn = local_order_keys st (dedup_rows (List.map snd pairs)) in
-      (pairs, Some keyfn)
-  | (A.Following | A.Preceding) when st.enc = Encoding.Local ->
-      let w = local_world st in
-      let pairs =
-        List.concat_map
-          (fun (c : Node_row.t) ->
-            match Hashtbl.find_opt w.w_rank c.Node_row.id with
-            | None -> []
-            | Some rank ->
-                let stop = Hashtbl.find w.w_end c.Node_row.id in
-                let ancs =
-                  match Hashtbl.find_opt w.w_anc c.Node_row.id with
-                  | Some a -> a
-                  | None -> []
-                in
-                let out = ref [] in
-                (match step.A.axis with
-                | A.Following ->
-                    for j = Array.length w.w_rows - 1 downto stop + 1 do
-                      let r = w.w_rows.(j) in
-                      if
-                        r.Node_row.kind <> Doc_index.Attr
-                        && test_passes step.A.axis step.A.test r
-                      then out := (c.Node_row.id, r) :: !out
-                    done
-                | _ ->
-                    (* preceding: before in doc order, not an ancestor *)
-                    for j = 0 to rank - 1 do
-                      let r = w.w_rows.(j) in
-                      if
-                        r.Node_row.kind <> Doc_index.Attr
-                        && (not (List.mem r.Node_row.id ancs))
-                        && test_passes step.A.axis step.A.test r
-                      then out := (c.Node_row.id, r) :: !out
-                    done;
-                    out := List.rev !out);
-                !out)
-          ctx_rows
-      in
-      let keyfn (r : Node_row.t) =
-        match Hashtbl.find_opt w.w_rank r.Node_row.id with
-        | Some rank -> [ rank ]
+
+(* LOCAL [following]/[preceding]: materialize document order in the middle
+   tier. *)
+let local_doc_order_candidates st ctx_rows axis test =
+  let w = local_world st in
+  let pairs =
+    List.concat_map
+      (fun (c : Node_row.t) ->
+        match Hashtbl.find_opt w.w_rank c.Node_row.id with
         | None -> []
-      in
-      (pairs, Some keyfn)
-  | axis ->
-      (* SQL-expressible axes *)
-      let ctx_rows =
-        (* sibling and document-order axes are empty from attribute nodes,
-           except following/preceding which are well-defined *)
-        match axis with
-        | A.Following_sibling | A.Preceding_sibling ->
-            List.filter
-              (fun (r : Node_row.t) -> r.Node_row.kind <> Doc_index.Attr)
-              ctx_rows
-        | _ -> ctx_rows
-      in
-      if ctx_rows = [] then ([], None)
-      else begin
-        let pairs = sql_candidates st ctx_rows axis step.A.test in
-        (* DEWEY preceding fetched ancestors too: drop path prefixes of ctx *)
-        let pairs =
-          if (st.enc = Encoding.Dewey_enc || st.enc = Encoding.Dewey_caret)
-             && axis = A.Preceding
-          then begin
-            let ctx_path =
-              List.fold_left
-                (fun m (r : Node_row.t) ->
-                  match r.Node_row.ord with
-                  | Node_row.Od p -> (r.Node_row.id, p) :: m
-                  | _ -> m)
-                [] ctx_rows
+        | Some rank ->
+            let stop = Hashtbl.find w.w_end c.Node_row.id in
+            let ancs =
+              match Hashtbl.find_opt w.w_anc c.Node_row.id with
+              | Some a -> a
+              | None -> []
             in
-            List.filter
-              (fun (ctx, (r : Node_row.t)) ->
-                match (List.assoc_opt ctx ctx_path, r.Node_row.ord) with
-                | Some cp, Node_row.Od rp ->
-                    not
-                      (String.length rp < String.length cp
-                      && String.sub cp 0 (String.length rp) = rp)
-                | _ -> true)
-              pairs
-          end
-          else pairs
-        in
-        (pairs, None)
-      end
+            let out = ref [] in
+            (match axis with
+            | A.Following ->
+                for j = Array.length w.w_rows - 1 downto stop + 1 do
+                  let r = w.w_rows.(j) in
+                  if r.Node_row.kind <> Doc_index.Attr && test_passes axis test r
+                  then out := (c.Node_row.id, r) :: !out
+                done
+            | _ ->
+                (* preceding: before in doc order, not an ancestor *)
+                for j = 0 to rank - 1 do
+                  let r = w.w_rows.(j) in
+                  if
+                    r.Node_row.kind <> Doc_index.Attr
+                    && (not (List.mem r.Node_row.id ancs))
+                    && test_passes axis test r
+                  then out := (c.Node_row.id, r) :: !out
+                done;
+                out := List.rev !out);
+            !out)
+      ctx_rows
+  in
+  let keyfn (r : Node_row.t) =
+    match Hashtbl.find_opt w.w_rank r.Node_row.id with
+    | Some rank -> [ rank ]
+    | None -> []
+  in
+  (pairs, Some keyfn)
+
+(* Candidates for one step from a deduplicated context row list. Returns
+   (ctx id, row) pairs plus an optional doc-order key function used to sort
+   groups when the row's own ord is not a document order (LOCAL). Axes with
+   a range in {!Axis_sql} become SQL; the rest run in the middle tier. *)
+let rec step_candidates st ctx_rows (step : A.step) :
+    (int * Node_row.t) list * (Node_row.t -> int list) option =
+  let self_pairs axis =
+    List.filter_map
+      (fun (r : Node_row.t) ->
+        if test_passes axis step.A.test r then Some (r.Node_row.id, r) else None)
+      ctx_rows
+  in
+  match step.A.axis with
+  | A.Self -> (self_pairs A.Self, None)
+  | (A.Ancestor_or_self | A.Descendant_or_self) as axis ->
+      (* self, then the strict axis: self sorts before its descendants, and
+         reverse-axis sorting puts it before its ancestors; LOCAL key
+         functions cover the context rows too *)
+      let strict = if axis = A.Ancestor_or_self then A.Ancestor else A.Descendant in
+      let more, keys = step_candidates st ctx_rows { step with A.axis = strict } in
+      (self_pairs A.Child @ more, keys)
+  | axis -> (
+      match Axis_sql.range st.enc ~bound:true axis with
+      | Some range ->
+          let ctx_rows =
+            if Axis_sql.empty_from_attribute axis then
+              List.filter
+                (fun (r : Node_row.t) -> r.Node_row.kind <> Doc_index.Attr)
+                ctx_rows
+            else ctx_rows
+          in
+          let pairs =
+            match range with
+            | _ when ctx_rows = [] -> []
+            | Axis_sql.Exact cond -> sql_candidates st ctx_rows cond axis step.A.test
+            | Axis_sql.Plus_ancestors cond ->
+                drop_ancestors ctx_rows
+                  (sql_candidates st ctx_rows cond axis step.A.test)
+          in
+          (pairs, None)
+      | None -> (
+          match axis with
+          | A.Ancestor -> ancestor_candidates st ctx_rows step.A.test
+          | A.Descendant ->
+              (* LOCAL *)
+              let pairs =
+                List.filter_map
+                  (fun (origin, row, _key) ->
+                    if test_passes axis step.A.test row then Some (origin, row)
+                    else None)
+                  (local_descendants st ctx_rows)
+              in
+              (* positional predicates need each group in document order;
+                 relative BFS keys are ambiguous when a row descends from
+                 several context nodes, so compute absolute root-path keys
+                 (more parent-chain SQL — the honest LOCAL cost) *)
+              (pairs, Some (local_order_keys st (dedup_rows (List.map snd pairs))))
+          | _ -> local_doc_order_candidates st ctx_rows axis step.A.test))
 
 (* ---- predicates --------------------------------------------------- *)
 
@@ -754,11 +586,7 @@ and eval_one_step st pairs (step : A.step) =
     (fun ctx ->
       let rows = sort_group (List.rev !(Hashtbl.find groups ctx)) in
       let rows = List.map snd rows in
-      let filtered =
-        List.fold_left
-          (fun rows p -> apply_pred st path_sets rows p)
-          rows step.A.preds
-      in
+      let filtered = List.fold_left (apply_pred path_sets) rows step.A.preds in
       let origins = try Hashtbl.find origins_of ctx with Not_found -> [] in
       List.iter
         (fun (r : Node_row.t) ->
@@ -840,7 +668,7 @@ and eval_cmp st origins (path : A.path) op lit =
   end;
   !sat
 
-and apply_pred st path_sets rows (p : A.predicate) =
+and apply_pred path_sets rows (p : A.predicate) =
   let last = List.length rows in
   let rec holds pos (r : Node_row.t) (p : A.predicate) =
     match p with
@@ -855,24 +683,19 @@ and apply_pred st path_sets rows (p : A.predicate) =
     | A.P_or (a, b) -> holds pos r a || holds pos r b
     | A.P_not a -> not (holds pos r a)
   in
-  ignore st;
   List.filteri (fun i r -> holds (i + 1) r p) rows
 
 (* ---- first step from the document root ---------------------------- *)
 
 let initial_candidates st (step : A.step) =
-  let tc = test_cond step.A.axis step.A.test in
-  match step.A.axis with
-  | A.Child ->
+  match Axis_sql.root_cond ~e:"e" step.A.axis with
+  | None -> []
+  | Some cond ->
       plain_rows st
-        (Printf.sprintf
-           "SELECT %s FROM %s e WHERE e.parent IS NULL AND %s"
-           (Node_row.select_list st.enc "e") st.tname tc)
-  | A.Descendant | A.Descendant_or_self ->
-      plain_rows st
-        (Printf.sprintf "SELECT %s FROM %s e WHERE e.kind <> 2 AND %s"
-           (Node_row.select_list st.enc "e") st.tname tc)
-  | _ -> []
+        (Printf.sprintf "SELECT %s FROM %s e WHERE %s AND %s"
+           (Node_row.select_list st.enc "e")
+           st.tname cond
+           (Axis_sql.test_cond ~e:"e" step.A.axis step.A.test))
 
 (* sort candidates into document order for positional predicates *)
 let doc_sort st rows =
@@ -882,63 +705,37 @@ let doc_sort st rows =
       List.stable_sort (fun a b -> Stdlib.compare (key a) (key b)) rows
   | _ -> List.stable_sort Node_row.compare_ord rows
 
+(* the path's result rows, not yet deduplicated or in document order *)
 let eval_path st (path : A.path) =
   match path.A.steps with
   | [] -> []
   | first :: rest ->
       let cands = doc_sort st (initial_candidates st first) in
       let path_sets = eval_path_preds st cands first.A.preds in
-      let filtered =
-        List.fold_left
-          (fun rows p -> apply_pred st path_sets rows p)
-          cands first.A.preds
-      in
+      let filtered = List.fold_left (apply_pred path_sets) cands first.A.preds in
       let pairs = List.map (fun (r : Node_row.t) -> (0, r)) filtered in
       let pairs =
         List.fold_left (fun ps step -> eval_one_step st ps step) pairs rest
       in
-      doc_sort st (dedup_rows (List.map snd pairs))
+      List.map snd pairs
 
-let eval db ~doc enc path =
+(* Run [f] on a fresh statement counter; the result rows are deduplicated
+   and sorted into document order once. *)
+let run db ~doc enc f =
   let st =
     { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
   in
-  let rows = eval_path st path in
+  let rows = doc_sort st (dedup_rows (f st)) in
   { rows; statements = st.nstmt; sql_log = List.rev st.log }
 
-let eval_ids db ~doc enc path =
-  List.map (fun (r : Node_row.t) -> r.Node_row.id) (eval db ~doc enc path).rows
-
-let eval_union db ~doc enc (u : A.union) =
-  let st =
-    { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
-  in
-  let rows = List.concat_map (fun p -> eval_path st p) u in
-  let rows = doc_sort st (dedup_rows rows) in
-  { rows; statements = st.nstmt; sql_log = List.rev st.log }
+let eval db ~doc enc (u : A.union) =
+  run db ~doc enc (fun st -> List.concat_map (eval_path st) u)
 
 let eval_from_ids db ~doc enc ~ids path =
-  let st =
-    { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
-  in
-  let rows =
-    if path.A.absolute then eval_path st path
-    else begin
-      let ctx = fetch_by_ids st ids in
-      let pairs = eval_rel st ctx path.A.steps in
-      doc_sort st (dedup_rows (List.map snd pairs))
-    end
-  in
-  { rows; statements = st.nstmt; sql_log = List.rev st.log }
+  run db ~doc enc (fun st ->
+      if path.A.absolute then eval_path st path
+      else List.map snd (eval_rel st (fetch_by_ids st ids) path.A.steps))
 
 let sort_document_order db ~doc enc rows =
-  let st =
-    { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
-  in
-  let sorted = doc_sort st (dedup_rows rows) in
-  (sorted, st.nstmt)
-
-let eval_string db ~doc enc s =
-  match Xpath_parser.parse_union s with
-  | [ p ] -> eval db ~doc enc p
-  | u -> eval_union db ~doc enc u
+  let r = run db ~doc enc (fun _ -> rows) in
+  (r.rows, r.statements)

@@ -10,7 +10,8 @@
 
     - ordered axes map to order-column ranges — [g_order]/[g_end] intervals
       for GLOBAL, [path] prefix ranges for DEWEY, [(parent, l_order)] ranges
-      for LOCAL sibling axes;
+      for LOCAL sibling axes. {!Axis_sql} holds the mapping, shared with
+      the single-statement translator;
     - document-order axes ([following], [preceding]) and document-order
       output sorting are closed-form for GLOBAL and DEWEY but require the
       middle tier to materialize parent chains (one SQL statement per level)
@@ -36,19 +37,9 @@ type result = {
 
 exception Unsupported of string
 
-val eval : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.path -> result
-(** Evaluate an absolute or relative (root-context) path. *)
-
-val eval_union : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.union -> result
-(** Evaluate a union of paths; results are merged, deduplicated and returned
-    in document order. *)
-
-val eval_ids : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.path -> int list
-(** Just the node ids, in document order. *)
-
-val eval_string : Reldb.Db.t -> doc:string -> Encoding.t -> string -> result
-(** Parse then evaluate (handles top-level unions).
-    @raise Xpath_parser.Parse_error on bad syntax. *)
+val eval : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.union -> result
+(** Evaluate a union of absolute or relative (root-context) paths. The
+    results are merged, deduplicated and sorted into document order once. *)
 
 val eval_from_ids :
   Reldb.Db.t -> doc:string -> Encoding.t -> ids:int list -> Xpath_ast.path ->
@@ -63,3 +54,12 @@ val sort_document_order :
 (** Sort arbitrary rows into document order (deduplicating by id), fetching
     parent chains when the encoding stores no global order (LOCAL). Returns
     the sorted rows and the number of extra SQL statements issued. *)
+
+val value_matches : Xpath_ast.cmp -> Xpath_ast.literal -> string -> bool
+(** [value_matches op lit s]: whether string value [s] satisfies
+    [s op lit]. Numeric literals and relational operators compare as
+    numbers, and NaN never matches. [=] and [!=] against a string literal
+    compare as strings. *)
+
+val number_of_string : string -> float
+(** The XPath [number()] of a string value: NaN when it does not parse. *)

@@ -5,43 +5,36 @@ exception Not_single_statement of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Not_single_statement s)) fmt
 
-let is_global = function
-  | Encoding.Global | Encoding.Global_gap -> true
-  | Encoding.Local | Encoding.Dewey_enc | Encoding.Dewey_caret -> false
-
 (* ------------------------------------------------------------------ *)
-(* Fragment checks                                                     *)
+(* Fragment checks, derived from the shared axis table                 *)
 (* ------------------------------------------------------------------ *)
 
-let axis_supported enc (axis : A.axis) =
-  match axis with
-  | A.Child | A.Attribute | A.Parent | A.Self | A.Following_sibling
-  | A.Preceding_sibling ->
-      true
-  | A.Descendant | A.Descendant_or_self | A.Following | A.Preceding
-  | A.Ancestor | A.Ancestor_or_self ->
-      (* only interval numbering makes these closed-form in one statement —
-         the expressiveness edge the paper credits to global order *)
-      is_global enc
+(* The step's join predicate against the previous alias: [None] when the
+   axis has no exact range there (no DEWEY upper bound on a join alias,
+   and no middle tier to drop ancestors). [self] needs no join. *)
+let join enc (axis : A.axis) =
+  match Axis_sql.range enc ~bound:false axis with
+  | Some (Axis_sql.Exact cond) -> Some cond
+  | Some (Axis_sql.Plus_ancestors _) | None -> None
+
+let axis_supported enc (axis : A.axis) = axis = A.Self || join enc axis <> None
 
 let rec pred_supported enc (p : A.predicate) =
   match p with
   | A.P_exists path | A.P_cmp (path, _, _) ->
-      List.for_all
-        (fun (s : A.step) ->
-          axis_supported enc s.A.axis && List.for_all (pred_supported enc) s.A.preds)
-        path.A.steps
+      List.for_all (step_supported enc) path.A.steps
   | A.P_and (a, b) -> pred_supported enc a && pred_supported enc b
   | A.P_pos _ | A.P_last | A.P_or _ | A.P_not _ | A.P_count _ -> false
 
-let step_supported enc (s : A.step) =
+and step_supported enc (s : A.step) =
   axis_supported enc s.A.axis && List.for_all (pred_supported enc) s.A.preds
 
 let eligible enc (path : A.path) =
-  (match path.A.steps with
-  | { A.axis = A.Child | A.Descendant | A.Descendant_or_self; _ } :: _ -> true
-  | _ -> false)
-  && List.for_all (step_supported enc) path.A.steps
+  match path.A.steps with
+  | first :: _ ->
+      Axis_sql.root_cond ~e:"" first.A.axis <> None
+      && List.for_all (step_supported enc) path.A.steps
+  | [] -> false
 
 (* ------------------------------------------------------------------ *)
 (* SQL generation                                                      *)
@@ -63,68 +56,6 @@ let new_alias g =
 
 let add g cond = g.conds <- cond :: g.conds
 
-let test_cond axis alias (test : A.node_test) =
-  match (axis, test) with
-  | A.Attribute, A.Name n ->
-      Printf.sprintf "%s.kind = 2 AND %s.tag = %s" alias alias
-        (V.to_sql_literal (V.Str n))
-  | A.Attribute, (A.Any_name | A.Node_test) -> Printf.sprintf "%s.kind = 2" alias
-  | A.Attribute, (A.Text_test | A.Comment_test) ->
-      Printf.sprintf "%s.kind = 9" alias (* empty *)
-  | _, A.Name n ->
-      Printf.sprintf "%s.kind = 0 AND %s.tag = %s" alias alias
-        (V.to_sql_literal (V.Str n))
-  | _, A.Any_name -> Printf.sprintf "%s.kind = 0" alias
-  | _, A.Text_test -> Printf.sprintf "%s.kind = 1" alias
-  | _, A.Comment_test -> Printf.sprintf "%s.kind = 3" alias
-  | _, A.Node_test -> Printf.sprintf "%s.kind <> 2" alias
-
-(* join condition between the previous step's alias and the new one *)
-let axis_join g ~prev alias (axis : A.axis) =
-  let glob fmt = Printf.ksprintf (fun s -> add g s) fmt in
-  match axis with
-  | A.Child -> glob "%s.parent = %s.id AND %s.kind <> 2" alias prev alias
-  | A.Attribute -> glob "%s.parent = %s.id" alias prev
-  | A.Parent -> glob "%s.id = %s.parent" alias prev
-  | A.Following_sibling -> begin
-      (* attribute nodes have no siblings: the context must be a non-attr *)
-      glob "%s.parent = %s.parent AND %s.kind <> 2 AND %s.kind <> 2" alias prev
-        alias prev;
-      match g.enc with
-      | Encoding.Global | Encoding.Global_gap ->
-          glob "%s.g_order > %s.g_order" alias prev
-      | Encoding.Local -> glob "%s.l_order > %s.l_order" alias prev
-      | Encoding.Dewey_enc | Encoding.Dewey_caret ->
-          glob "%s.path > %s.path" alias prev
-    end
-  | A.Preceding_sibling -> begin
-      glob "%s.parent = %s.parent AND %s.kind <> 2 AND %s.kind <> 2" alias prev
-        alias prev;
-      match g.enc with
-      | Encoding.Global | Encoding.Global_gap ->
-          glob "%s.g_order < %s.g_order" alias prev
-      | Encoding.Local -> glob "%s.l_order < %s.l_order AND %s.l_order > 0" alias prev alias
-      | Encoding.Dewey_enc | Encoding.Dewey_caret ->
-          glob "%s.path < %s.path" alias prev
-    end
-  | A.Descendant ->
-      glob "%s.g_order > %s.g_order AND %s.g_order < %s.g_end AND %s.kind <> 2"
-        alias prev alias prev alias
-  | A.Descendant_or_self ->
-      glob "%s.g_order >= %s.g_order AND %s.g_order < %s.g_end AND %s.kind <> 2"
-        alias prev alias prev alias
-  | A.Following -> glob "%s.g_order > %s.g_end AND %s.kind <> 2" alias prev alias
-  | A.Preceding -> glob "%s.g_end < %s.g_order AND %s.kind <> 2" alias prev alias
-  | A.Ancestor -> glob "%s.g_order < %s.g_order AND %s.g_end > %s.g_end" alias prev alias prev
-  | A.Ancestor_or_self ->
-      glob "%s.g_order <= %s.g_order AND %s.g_end >= %s.g_end" alias prev alias prev
-  | A.Self -> assert false (* handled by the caller without a new alias *)
-
-let number_of_string s =
-  match float_of_string_opt (String.trim s) with
-  | Some f -> f
-  | None -> Float.nan
-
 let cmp_sql = function
   | A.Eq -> "="
   | A.Ne -> "<>"
@@ -136,17 +67,18 @@ let cmp_sql = function
 (* one step: returns the alias holding the step's result *)
 let rec gen_step g ~prev (step : A.step) =
   let alias =
-    match step.A.axis with
-    | A.Self ->
-        (* no new alias: just a test on the previous one *)
-        add g (test_cond A.Child prev step.A.test);
-        prev
-    | axis ->
+    match (step.A.axis, join g.enc step.A.axis) with
+    | A.Self, _ -> prev (* no new alias: just a test on the previous one *)
+    | axis, Some cond ->
         let a = new_alias g in
-        axis_join g ~prev a axis;
-        add g (test_cond axis a step.A.test);
+        add g (cond (Axis_sql.of_alias g.enc prev) ~e:a);
+        if Axis_sql.empty_from_attribute axis then add g (prev ^ ".kind <> 2");
         a
+    | axis, None ->
+        fail "%s:: is outside the single-statement fragment for the %s encoding"
+          (A.axis_name axis) (Encoding.name g.enc)
   in
+  add g (Axis_sql.test_cond ~e:alias step.A.axis step.A.test);
   List.iter (gen_pred g ~ctx:alias) step.A.preds;
   alias
 
@@ -187,7 +119,7 @@ and gen_pred g ~ctx (p : A.predicate) =
               add g (Printf.sprintf "%s.value %s %s" value_alias (cmp_sql op)
                        (V.to_sql_literal (V.Str s)))
           | A.Lt | A.Le | A.Gt | A.Ge ->
-              let f = number_of_string s in
+              let f = Translate.number_of_string s in
               if Float.is_nan f then add g "1 = 0"
               else
                 add g (Printf.sprintf "%s.nval %s %s" value_alias (cmp_sql op)
@@ -238,26 +170,17 @@ let translate_meta ?(unique = false) ~doc enc (path : A.path) =
       "path is outside the single-statement fragment for the %s encoding"
       (Encoding.name enc);
   let g = { enc; tname = Encoding.table_name ~doc enc; aliases = []; conds = []; count = 0 } in
-  (* first step chains off the (virtual) document root *)
-  let first, rest =
-    match path.A.steps with s :: r -> (s, r) | [] -> assert false
-  in
-  let first_alias =
-    match first.A.axis with
-    | A.Child ->
+  (* the first step chains off the (virtual) document root *)
+  let result =
+    match path.A.steps with
+    | first :: rest ->
         let a = new_alias g in
-        add g (Printf.sprintf "%s.parent IS NULL" a);
-        add g (test_cond A.Child a first.A.test);
-        a
-    | A.Descendant | A.Descendant_or_self ->
-        let a = new_alias g in
-        add g (Printf.sprintf "%s.kind <> 2" a);
-        add g (test_cond A.Child a first.A.test);
-        a
-    | _ -> fail "an absolute path must start with child or descendant"
+        Option.iter (add g) (Axis_sql.root_cond ~e:a first.A.axis);
+        add g (Axis_sql.test_cond ~e:a first.A.axis first.A.test);
+        List.iter (gen_pred g ~ctx:a) first.A.preds;
+        List.fold_left (fun prev step -> gen_step g ~prev step) a rest
+    | [] -> fail "empty path"
   in
-  List.iter (gen_pred g ~ctx:first_alias) first.A.preds;
-  let result = List.fold_left (fun prev step -> gen_step g ~prev step) first_alias rest in
   let from =
     String.concat ", "
       (List.rev_map (fun a -> Printf.sprintf "%s %s" g.tname a) g.aliases)

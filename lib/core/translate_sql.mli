@@ -4,20 +4,27 @@
     chain of self-joins over the edge table, one alias per location step
     (what the shredding literature calls structural joins). This module
     implements that mode for the fragment of the subset where a single
-    unordered SQL block is expressive enough:
+    unordered SQL block is expressive enough. Each step joins onto the
+    previous alias through the shared axis table ({!Axis_sql}), so the
+    fragment is whatever that table answers exactly from a join alias:
 
-    - axes [child], [descendant], [descendant-or-self], [attribute],
-      [parent], plus GLOBAL/DEWEY [following-sibling]/[preceding-sibling]/
-      [following]/[preceding]/[ancestor] (LOCAL supports the sibling axes;
-      its document-order axes need recursion, which single-statement SQL
-      without RECURSIVE cannot express — the paper's point);
+    - under every encoding: [child], [attribute], [parent], [self],
+      [following-sibling] and [preceding-sibling];
+    - under GLOBAL and GLOBAL_GAP only: [descendant], [descendant-or-self],
+      [following], [preceding], [ancestor] and [ancestor-or-self]. DEWEY's
+      prefix ranges need the context's upper bound, which a join alias does
+      not carry, and its [preceding] range also holds ancestors. LOCAL's
+      document-order axes need recursion, which single-statement SQL
+      without RECURSIVE cannot express — the paper's point;
+    - the first step must be [child] or [descendant(-or-self)] from the
+      document root, so [//a] is GLOBAL-only too;
     - name/wildcard/text()/comment()/node() tests;
-    - existence and value-comparison predicates (they become additional
-      joined aliases);
-    - {e no} positional predicates — ranking inside an unordered SQL block
-      needs subqueries or window functions, which is exactly why the paper
-      stores sibling ranks as data; use the step-at-a-time evaluator
-      ({!Translate}) for those.
+    - existence and value-comparison predicates, and their conjunctions
+      (they become additional joined aliases);
+    - {e no} positional, [or], [not()] or [count()] predicates — ranking
+      inside an unordered SQL block needs subqueries or window functions,
+      which is exactly why the paper stores sibling ranks as data; use the
+      step-at-a-time evaluator ({!Translate}) for those.
 
     The generated statement selects the result nodes' columns with
     [SELECT DISTINCT], ordered by the encoding's document-order column when
@@ -63,8 +70,7 @@ val translate_meta :
 
 val axis_supported : Encoding.t -> Xpath_ast.axis -> bool
 (** Whether the encoding can express the axis inside a single unordered SQL
-    statement (document-order axes such as [following::] need interval
-    numbering — GLOBAL/GLOBAL_GAP only). *)
+    statement: [self], or an exact {!Axis_sql.range} from a join alias. *)
 
 val path_axes : Xpath_ast.path -> Xpath_ast.axis list
 (** Every axis a path uses, including inside predicates (sorted,
@@ -82,3 +88,4 @@ val eval :
     @raise Not_single_statement when ineligible. *)
 
 val eligible : Encoding.t -> Xpath_ast.path -> bool
+(** Whether the path is inside the fragment above. *)

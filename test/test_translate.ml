@@ -161,6 +161,35 @@ let test_union_translation () =
           (O.Encoding.name enc) (List.length got) (List.length expected))
     stores
 
+(* LOCAL sorts by walking parent chains, so every extra sort is SQL: a
+   union sorts its merged rows once, not once per branch and again *)
+let test_local_union_sorts_once () =
+  let idx, stores = Lazy.force xmark_env in
+  let b1 = "/site/open_auctions/open_auction/bidder[1]"
+  and b2 = "/site/open_auctions/open_auction/bidder[last()]" in
+  let u = b1 ^ " | " ^ b2 in
+  let store = List.assoc O.Encoding.Local stores in
+  let stmts xp = (O.Api.Store.query store xp).O.Translate.statements in
+  check bool_t "union statements <= sum of branches" true
+    (stmts u <= stmts b1 + stmts b2);
+  check (Alcotest.list int_t) "union ids"
+    (O.Dom_eval.eval_union idx (O.Xpath_parser.parse_union u))
+    (O.Api.Store.query_ids store u)
+
+(* LOCAL ancestor steps walk each parent chain once and sort by the same
+   chain map *)
+let test_local_ancestor_single_walk () =
+  let idx, stores = Lazy.force xmark_env in
+  let xp =
+    "/site/open_auctions/open_auction[1]/bidder[1]/increase/ancestor::open_auction"
+  in
+  let store = List.assoc O.Encoding.Local stores in
+  check bool_t "at most 11 statements" true
+    ((O.Api.Store.query store xp).O.Translate.statements <= 11);
+  check (Alcotest.list int_t) "ancestor ids"
+    (O.Dom_eval.eval idx (O.Xpath_parser.parse xp))
+    (O.Api.Store.query_ids store xp)
+
 let test_doc_order_of_results () =
   let idx, stores = Lazy.force xmark_env in
   ignore idx;
@@ -211,5 +240,9 @@ let tests =
       Alcotest.test_case "empty results" `Quick test_empty_results;
       Alcotest.test_case "union translation" `Quick test_union_translation;
       Alcotest.test_case "results in document order" `Quick test_doc_order_of_results;
+      Alcotest.test_case "local union sorts once" `Quick
+        test_local_union_sorts_once;
+      Alcotest.test_case "local ancestor walks chains once" `Quick
+        test_local_ancestor_single_walk;
       QCheck_alcotest.to_alcotest prop_oracle_equivalence;
     ] )

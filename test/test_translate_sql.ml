@@ -90,7 +90,7 @@ let test_agrees_with_step_mode () =
     (fun xpath ->
       let path = O.Xpath_parser.parse xpath in
       let a = TS.eval db ~doc:"q" O.Encoding.Global path in
-      let b = O.Translate.eval db ~doc:"q" O.Encoding.Global path in
+      let b = O.Translate.eval db ~doc:"q" O.Encoding.Global [ path ] in
       let ids r =
         List.map (fun (x : O.Node_row.t) -> x.O.Node_row.id) r.O.Translate.rows
       in
@@ -145,13 +145,13 @@ let prop_single_statement =
         (fun enc ->
           if not (TS.eligible enc path) then true
           else begin
-            ignore (O.Api.Store.create db ~name:(O.Encoding.name enc) enc doc);
+            ignore (O.Api.Store.create db ~name:"p" enc doc);
             let expected = O.Dom_eval.eval idx path in
-            let r = TS.eval db ~doc:(O.Encoding.name enc) enc path in
+            let r = TS.eval db ~doc:"p" enc path in
             List.map (fun (x : O.Node_row.t) -> x.O.Node_row.id) r.O.Translate.rows
             = expected
           end)
-        [ O.Encoding.Global; O.Encoding.Local; O.Encoding.Dewey_enc ])
+        O.Encoding.all)
 
 let tests =
   ( "translate-sql",
