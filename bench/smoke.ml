@@ -1,7 +1,9 @@
 (* Bench regression guard: time Q1 over the GLOBAL encoding and fail if the
    per-run latency regresses more than 3x over the checked-in baseline
-   (bench/baseline.json). Fast enough to wire into `make check`; the full
-   statistical suite stays in bench/main.ml. *)
+   (bench/baseline.json). It also prints, ungated, the plan-cache hit ratio
+   and catalog version delta of a second Q1-Q7 pass per encoding. Fast
+   enough to wire into `make check`; the full statistical suite stays in
+   bench/main.ml. *)
 
 module O = Ordered_xml
 
@@ -84,6 +86,35 @@ let () =
     per_run_us base (3.0 *. base);
   if per_run_us > 3.0 *. base then
     die "bench-smoke: FAIL - Q1 latency regressed more than 3x over baseline";
+  (* informational, not gated: on a second pass of Q1-Q7 every statement
+     that binds no context should hit the plan cache, and reads should
+     leave the catalog version alone *)
+  let workload =
+    List.filter_map (fun (q : O.Workload.query) -> q.O.Workload.q_xpath)
+      O.Workload.queries
+  in
+  List.iter
+    (fun enc ->
+      let db = Reldb.Db.create () in
+      let store = O.Api.Store.create db ~name:"c" enc doc in
+      let pass () =
+        List.iter (fun xp -> ignore (O.Api.Store.query store xp)) workload
+      in
+      let counts () =
+        let hits, misses, _ = Reldb.Db.plan_cache_stats db in
+        (hits, misses, Reldb.Catalog.version (Reldb.Db.catalog db))
+      in
+      pass ();
+      let h0, m0, v0 = counts () in
+      pass ();
+      let h1, m1, v1 = counts () in
+      Printf.printf
+        "bench-smoke: q1-q7 second pass/%s plan-cache hit ratio %.2f, catalog \
+         version delta %d (informational)\n"
+        (O.Encoding.name enc)
+        (float_of_int (h1 - h0) /. float_of_int (h1 - h0 + m1 - m0))
+        (v1 - v0))
+    O.Encoding.[ Global; Local; Dewey_enc ];
   (* informational: the same query against a durable (WAL-backed) database.
      Reads are never logged, so this should track the in-memory figure; it
      is printed for the record but not guarded. *)

@@ -4,7 +4,7 @@
 
     A step joins a candidate alias [e] against a context node whose columns
     are given as SQL expressions ({!ctx}). The step-at-a-time translator
-    ({!Translate}) fills the context from a bound context table or from
+    ({!Translate}) fills the context from the bound [ctx] relation or from
     inlined literals; the single-statement translator ({!Translate_sql})
     fills it from the previous step's join alias.
 

@@ -41,27 +41,15 @@ let fetch_subtree_rows db ~doc enc ~root =
            (V.to_sql_literal (V.Bytes p))
            (V.to_sql_literal (V.Bytes ub)))
   | Encoding.Local, _ ->
-      (* breadth-first: one SQL statement per level *)
+      (* breadth-first: one SQL statement per level, or one per node while
+         a level has at most 4 *)
       let acc = ref [ root ] in
       let frontier = ref [ root ] in
       while !frontier <> [] do
         let level =
-          if List.length !frontier <= 4 then
-            List.concat_map
-              (fun (r : Node_row.t) ->
-                rows
-                  (Printf.sprintf "SELECT %s FROM %s e WHERE e.parent = %d"
-                     (Node_row.select_list enc "e") tname r.Node_row.id))
-              !frontier
-          else
-            let ctx_rows =
-              List.map (fun r -> [| V.Int r.Node_row.id |]) !frontier
-            in
-            Temp.with_ctx db ~cols:[ ("id", V.Tint) ] ~rows:ctx_rows (fun ctx ->
-                rows
-                  (Printf.sprintf
-                     "SELECT %s FROM %s e, %s c WHERE e.parent = c.id"
-                     (Node_row.select_list enc "e") tname ctx))
+          Translate.select_in_context db ~doc enc ~inline:4
+            ~ids:(List.map (fun (r : Node_row.t) -> r.Node_row.id) !frontier)
+            (fun c ~e -> Printf.sprintf "%s.parent = %s" e c.Axis_sql.id)
         in
         acc := !acc @ level;
         frontier := level

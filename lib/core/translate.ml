@@ -21,32 +21,27 @@ type state = {
   mutable log : string list;  (* reversed *)
 }
 
-let run_sql st sql =
+let state db ~doc enc =
+  { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
+
+(* [?ctx] binds the relation [ctx] for this one statement. *)
+let run_sql ?ctx st sql =
   st.nstmt <- st.nstmt + 1;
   st.log <- sql :: st.log;
   Log.debug (fun m -> m "%s" sql);
-  Reldb.Db.query st.db sql
+  match ctx with
+  | None -> Reldb.Db.query st.db sql
+  | Some (cols, rows) -> Reldb.Db.query_ctx st.db ~cols ~rows sql
 
-(* Queries return (ctx id, edge row): column 0 is the context id. *)
-let tagged_rows st sql =
-  List.map
-    (fun tu ->
-      let ctx =
-        match tu.(0) with
-        | V.Int i -> i
-        | v -> invalid_arg ("Translate: bad ctx id " ^ V.to_string v)
-      in
-      (ctx, Node_row.of_tuple st.enc (Array.sub tu 1 (Array.length tu - 1))))
-    (run_sql st sql)
-
-let plain_rows st sql = List.map (Node_row.of_tuple st.enc) (run_sql st sql)
+let plain_rows ?ctx st sql =
+  List.map (Node_row.of_tuple st.enc) (run_sql ?ctx st sql)
 
 (* ------------------------------------------------------------------ *)
 (* Context references                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A bound context is either a context table [c] or, for a small context,
-   one row inlined as literals. *)
+(* A context reaches SQL either as the bound relation [ctx c] or, for a
+   small context, one node inlined as literals. *)
 let ctx_ref_table enc = Axis_sql.of_alias ~ub:"c.path_ub" enc "c"
 
 let ctx_ref_literal (r : Node_row.t) =
@@ -86,6 +81,65 @@ let ctx_tuple enc (r : Node_row.t) =
       |]
   | _ -> invalid_arg "Translate.ctx_tuple: row/encoding mismatch"
 
+(* A step's context nodes: ids alone bind only [id]; rows bind [id],
+   [parent] and the encoding's order columns. *)
+type context = Ids of int list | Rows of Node_row.t list
+
+let literal_refs = function
+  | Rows rows ->
+      List.map (fun (r : Node_row.t) -> (r.Node_row.id, ctx_ref_literal r)) rows
+  | Ids ids ->
+      List.map
+        (fun i ->
+          (i, { Axis_sql.id = string_of_int i; parent = ""; ord = ""; g_end = ""; ub = "" }))
+        ids
+
+let binding enc = function
+  | Rows rows -> (ctx_cols enc, List.map (ctx_tuple enc) rows)
+  | Ids ids -> ([ ("id", V.Tint) ], List.map (fun i -> [| V.Int i |]) ids)
+
+(* Whether each result row carries the id of the context node that
+   produced it. *)
+type _ shape = Tagged : (int * Node_row.t) shape | Untagged : Node_row.t shape
+
+(* The one place that decides how a context reaches SQL: at most [inline]
+   nodes are inlined as literals, one statement each; more are bound as
+   the relation [ctx c] of a single statement. [where] is the WHERE clause
+   over the candidate alias [e] and a context reference. *)
+let select_ctx (type a) st ~inline (shape : a shape) context where : a list =
+  let select tag from c =
+    Printf.sprintf "SELECT %s%s FROM %s e%s WHERE %s" tag
+      (Node_row.select_list st.enc "e")
+      st.tname from (where c ~e:"e")
+  in
+  let size = match context with Ids l -> List.length l | Rows l -> List.length l in
+  if size <= inline then
+    List.concat_map
+      (fun (id, c) : a list ->
+        let rows = plain_rows st (select "" "" c) in
+        match shape with
+        | Tagged -> List.map (fun row -> (id, row)) rows
+        | Untagged -> rows)
+      (literal_refs context)
+  else
+    let ctx = binding st.enc context and c = ctx_ref_table st.enc in
+    match shape with
+    | Untagged -> plain_rows ~ctx st (select "" ", ctx c" c)
+    | Tagged ->
+        (* column 0 is the context id *)
+        List.map
+          (fun tu ->
+            let id =
+              match tu.(0) with
+              | V.Int i -> i
+              | v -> invalid_arg ("Translate: bad ctx id " ^ V.to_string v)
+            in
+            (id, Node_row.of_tuple st.enc (Array.sub tu 1 (Array.length tu - 1))))
+          (run_sql ~ctx st (select "c.id, " ", ctx c" c))
+
+let select_in_context db ~doc enc ~inline ~ids where =
+  select_ctx (state db ~doc enc) ~inline Untagged (Ids ids) where
+
 (* ------------------------------------------------------------------ *)
 (* Candidate generation                                                *)
 (* ------------------------------------------------------------------ *)
@@ -96,31 +150,8 @@ let inline_threshold = 4
    with the producing context id. *)
 let sql_candidates st ctx_rows cond axis test =
   let tc = Axis_sql.test_cond ~e:"e" axis test in
-  if List.length ctx_rows <= inline_threshold then
-    List.concat_map
-      (fun r ->
-        let sql =
-          Printf.sprintf "SELECT %s FROM %s e WHERE %s AND %s"
-            (Node_row.select_list st.enc "e")
-            st.tname
-            (cond (ctx_ref_literal r) ~e:"e")
-            tc
-        in
-        List.map (fun row -> (r.Node_row.id, row)) (plain_rows st sql))
-      ctx_rows
-  else begin
-    let cols = ctx_cols st.enc in
-    let rows = List.map (ctx_tuple st.enc) ctx_rows in
-    Temp.with_ctx st.db ~cols ~rows (fun ctx ->
-        let sql =
-          Printf.sprintf "SELECT c.id, %s FROM %s e, %s c WHERE %s AND %s"
-            (Node_row.select_list st.enc "e")
-            st.tname ctx
-            (cond (ctx_ref_table st.enc) ~e:"e")
-            tc
-        in
-        tagged_rows st sql)
-  end
+  select_ctx st ~inline:inline_threshold Tagged (Rows ctx_rows) (fun c ~e ->
+      Printf.sprintf "%s AND %s" (cond c ~e) tc)
 
 let test_passes axis (test : A.node_test) (r : Node_row.t) =
   let k = r.Node_row.kind in
@@ -190,26 +221,13 @@ let local_world st =
 
 (* Fetch rows by id. Small sets go through the unique id index as point
    queries (one statement each, one row read each); large sets are bound
-   into a context table and joined. *)
+   as the context relation and joined. *)
 let by_id_inline_threshold = 64
 
 let fetch_by_ids st ids =
-  let ids = List.sort_uniq compare ids in
-  if List.length ids <= by_id_inline_threshold then
-    List.concat_map
-      (fun id ->
-        plain_rows st
-          (Printf.sprintf "SELECT %s FROM %s e WHERE e.id = %d"
-             (Node_row.select_list st.enc "e") st.tname id))
-      ids
-  else
-    Temp.with_ctx st.db ~cols:[ ("id", V.Tint) ]
-      ~rows:(List.map (fun i -> [| V.Int i |]) ids)
-      (fun ctx ->
-        plain_rows st
-          (Printf.sprintf "SELECT %s FROM %s e, %s c WHERE e.id = c.id"
-             (Node_row.select_list st.enc "e")
-             st.tname ctx))
+  select_ctx st ~inline:by_id_inline_threshold Untagged
+    (Ids (List.sort_uniq compare ids))
+    (fun c ~e -> Printf.sprintf "%s.id = %s" e c.Axis_sql.id)
 
 (* LOCAL parent chains: the rows and all their ancestors, by id, fetched one
    batched round of point lookups (or one join) per level. *)
@@ -271,26 +289,8 @@ let local_descendants st ctx_rows =
         (List.map (fun (_, r, _) -> r.Node_row.id) !frontier)
     in
     let children =
-      if List.length distinct <= inline_threshold then
-        List.concat_map
-          (fun id ->
-            List.map
-              (fun row -> (id, row))
-              (plain_rows st
-                 (Printf.sprintf
-                    "SELECT %s FROM %s e WHERE e.parent = %d AND e.kind <> 2"
-                    (Node_row.select_list st.enc "e")
-                    st.tname id)))
-          distinct
-      else
-        let ctx_tuples = List.map (fun i -> [| V.Int i |]) distinct in
-        Temp.with_ctx st.db ~cols:[ ("id", V.Tint) ] ~rows:ctx_tuples (fun ctx ->
-            tagged_rows st
-              (Printf.sprintf
-                 "SELECT c.id, %s FROM %s e, %s c WHERE e.parent = c.id AND \
-                  e.kind <> 2"
-                 (Node_row.select_list st.enc "e")
-                 st.tname ctx))
+      select_ctx st ~inline:inline_threshold Tagged (Ids distinct) (fun c ~e ->
+          Printf.sprintf "%s.parent = %s AND %s.kind <> 2" e c.Axis_sql.id e)
     in
     let by_parent : (int, (int * Node_row.t) list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
@@ -722,9 +722,7 @@ let eval_path st (path : A.path) =
 (* Run [f] on a fresh statement counter; the result rows are deduplicated
    and sorted into document order once. *)
 let run db ~doc enc f =
-  let st =
-    { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
-  in
+  let st = state db ~doc enc in
   let rows = doc_sort st (dedup_rows (f st)) in
   { rows; statements = st.nstmt; sql_log = List.rev st.log }
 

@@ -3,9 +3,10 @@
 
     Evaluation is step-at-a-time and set-based, in the middle-tier style the
     shredding literature used before recursive SQL was common: the current
-    context node set is bound into a context table (or inlined as literals
-    when small) and each location step becomes one SQL statement joining the
-    edge table against it. What that statement looks like is exactly where
+    context node set is bound as the relation [ctx] of the step's one SQL
+    statement, which joins the edge table against it (or, when small, is
+    inlined as literals, one statement per node; see {!select_in_context}).
+    Reads run no DDL. What that statement looks like is exactly where
     the encodings differ:
 
     - ordered axes map to order-column ranges — [g_order]/[g_end] intervals
@@ -54,6 +55,16 @@ val sort_document_order :
 (** Sort arbitrary rows into document order (deduplicating by id), fetching
     parent chains when the encoding stores no global order (LOCAL). Returns
     the sorted rows and the number of extra SQL statements issued. *)
+
+val select_in_context :
+  Reldb.Db.t -> doc:string -> Encoding.t -> inline:int -> ids:int list ->
+  (Axis_sql.ctx -> e:string -> string) -> Node_row.t list
+(** [select_in_context db ~doc enc ~inline ~ids where] selects the edge
+    rows of alias [e] satisfying [where] for some context node of [ids]
+    (only the context's [id] is set). With at most [inline] ids it issues
+    one statement per id, inlined as a literal; otherwise one statement
+    over the ids bound as [ctx c] through {!Reldb.Db.query_ctx}. The step
+    translator makes the same choice in the same function. *)
 
 val value_matches : Xpath_ast.cmp -> Xpath_ast.literal -> string -> bool
 (** [value_matches op lit s]: whether string value [s] satisfies

@@ -3,8 +3,6 @@
    entry; eviction removes the smallest tick. *)
 type cache_entry = {
   ce_version : int;
-  ce_simplify : bool;  (* Simplify.enabled at plan time; toggling it must
-                          not serve plans built under the other setting *)
   ce_plan : Plan.t;
   mutable ce_tick : int;
 }
@@ -420,8 +418,8 @@ let do_create_index t ~name ~table:tname ~columns ~unique =
   Catalog.bump_version t.cat;
   Affected 0
 
-let plan_of_select t q =
-  try Planner.plan_select t.cat q with Planner.Plan_error m -> fail "%s" m
+let plan_of_select ?ctx t q =
+  try Planner.plan_select ?ctx t.cat q with Planner.Plan_error m -> fail "%s" m
 
 let stmt_kind : Sql_ast.stmt -> string = function
   | Sql_ast.Select _ | Sql_ast.Union_all _ -> "select"
@@ -432,8 +430,8 @@ let stmt_kind : Sql_ast.stmt -> string = function
       "ddl"
   | Sql_ast.Begin_txn | Sql_ast.Commit_txn | Sql_ast.Rollback_txn -> "txn"
 
-let union_plan t qs =
-  let plans = List.map (plan_of_select t) qs in
+let union_plan ?ctx t qs =
+  let plans = List.map (plan_of_select ?ctx t) qs in
   let arities = List.map (fun p -> Schema.arity (Plan.schema_of p)) plans in
   (match arities with
   | a :: rest when List.exists (fun b -> b <> a) rest ->
@@ -495,8 +493,7 @@ let cache_touch t entry =
 let cache_lookup t sql =
   match Hashtbl.find_opt t.plan_cache sql with
   | Some entry
-    when entry.ce_version = Catalog.version t.cat
-         && entry.ce_simplify = !Simplify.enabled ->
+    when entry.ce_version = Catalog.version t.cat ->
       cache_touch t entry;
       t.cache_hits <- t.cache_hits + 1;
       Obs.incr "db.plan_cache.hit";
@@ -524,7 +521,6 @@ let cache_store t sql plan =
   Hashtbl.replace t.plan_cache sql
     {
       ce_version = Catalog.version t.cat;
-      ce_simplify = !Simplify.enabled;
       ce_plan = plan;
       ce_tick = t.cache_tick;
     }
@@ -542,22 +538,28 @@ let should_log : Sql_ast.stmt -> bool = function
   | Sql_ast.Commit_txn | Sql_ast.Rollback_txn ->
       false
 
+(* Plan a SELECT / UNION ALL that missed the plan cache, counting the miss.
+   [?ctx] is resolved before the catalog. *)
+let plan_miss ?ctx t stmt =
+  let plan =
+    Obs.Span.with_ "plan" (fun () ->
+        match stmt with
+        | Sql_ast.Select q -> plan_of_select ?ctx t q
+        | Sql_ast.Union_all qs -> union_plan ?ctx t qs
+        | _ -> fail "expected a SELECT statement")
+  in
+  t.cache_misses <- t.cache_misses + 1;
+  Obs.incr "db.plan_cache.miss";
+  plan
+
 (* Execute an already-parsed statement, populating the plan cache on SELECT
    misses. [sql] is the cache key. *)
 let exec_parsed t ~sql stmt =
   if Sql_ast.param_count stmt > 0 then
     fail "statement has unbound parameters; use Db.prepare and bind values";
   match stmt with
-  | Sql_ast.Select q ->
-      let plan = Obs.Span.with_ "plan" (fun () -> plan_of_select t q) in
-      t.cache_misses <- t.cache_misses + 1;
-      Obs.incr "db.plan_cache.miss";
-      cache_store t sql plan;
-      run_select plan
-  | Sql_ast.Union_all qs ->
-      let plan = Obs.Span.with_ "plan" (fun () -> union_plan t qs) in
-      t.cache_misses <- t.cache_misses + 1;
-      Obs.incr "db.plan_cache.miss";
+  | Sql_ast.Select _ | Sql_ast.Union_all _ ->
+      let plan = plan_miss t stmt in
       cache_store t sql plan;
       run_select plan
   | stmt ->
@@ -575,20 +577,14 @@ let note_slow t ~sql ms =
          else log)
   | _ -> ()
 
-let exec t sql =
-  if not (Obs.enabled ()) then
-    match cache_lookup t sql with
-    | Some plan -> run_select plan
-    | None -> exec_parsed t ~sql (parse_stmt sql)
+(* Run one statement, [f] returning its kind and result, under the
+   per-kind latency histogram, the statement counter and the slow-query
+   log. *)
+let timed t ~sql f =
+  if not (Obs.enabled ()) then snd (f ())
   else begin
     let t0 = Obs.Clock.now_ns () in
-    let kind, result =
-      match cache_lookup t sql with
-      | Some plan -> ("select", run_select plan)
-      | None ->
-          let stmt = Obs.Span.with_ "sql-parse" (fun () -> parse_stmt sql) in
-          (stmt_kind stmt, exec_parsed t ~sql stmt)
-    in
+    let kind, result = f () in
     let ms = Obs.Clock.since_ms t0 in
     Obs.incr "db.statements";
     Obs.observe ("db.exec." ^ kind) ms;
@@ -596,10 +592,37 @@ let exec t sql =
     result
   end
 
-let query t sql =
-  match exec t sql with
+let parse_traced sql = Obs.Span.with_ "sql-parse" (fun () -> parse_stmt sql)
+
+let exec t sql =
+  timed t ~sql (fun () ->
+      match cache_lookup t sql with
+      | Some plan -> ("select", run_select plan)
+      | None ->
+          let stmt = parse_traced sql in
+          (stmt_kind stmt, exec_parsed t ~sql stmt))
+
+let rows_of = function
   | Rows { tuples; _ } -> tuples
   | Affected _ -> fail "expected a SELECT statement"
+
+let query t sql = rows_of (exec t sql)
+
+(* The context is a table that lives for one statement: it is never in the
+   catalog (so neither DDL, the journal nor the WAL sees it), and the plan
+   that reads it is not cached, because the next call binds other rows
+   under the same name. *)
+let query_ctx t ~cols ~rows sql =
+  let ctx =
+    Table.create "ctx"
+      (Array.of_list
+         (List.map (fun (n, ty) -> Schema.column ~nullable:true n ty) cols))
+  in
+  (try List.iter (fun row -> ignore (Table.insert ctx row)) rows
+   with Table.Constraint_violation m -> fail "%s" m);
+  rows_of
+    (timed t ~sql (fun () ->
+         ("select", run_select (plan_miss ~ctx t (parse_traced sql)))))
 
 let query_one t sql =
   match query t sql with [] -> None | r :: _ -> Some r
@@ -679,27 +702,13 @@ module Stmt = struct
       try Sql_ast.bind_params params s.ps_ast
       with Sql_ast.Bind_error m -> fail "%s" m
     in
-    let run () =
-      let result = exec_stmt t bound in
-      if should_log bound && is_durable t then
-        log_write t (substitute_params s.ps_sql params);
-      result
-    in
-    if not (Obs.enabled ()) then run ()
-    else begin
-      let t0 = Obs.Clock.now_ns () in
-      let result = run () in
-      let ms = Obs.Clock.since_ms t0 in
-      Obs.incr "db.statements";
-      Obs.observe ("db.exec." ^ stmt_kind bound) ms;
-      note_slow t ~sql:s.ps_sql ms;
-      result
-    end
+    timed t ~sql:s.ps_sql (fun () ->
+        let result = exec_stmt t bound in
+        if should_log bound && is_durable t then
+          log_write t (substitute_params s.ps_sql params);
+        (stmt_kind bound, result))
 
-  let query s params =
-    match exec s params with
-    | Rows { tuples; _ } -> tuples
-    | Affected _ -> fail "expected a SELECT statement"
+  let query s params = rows_of (exec s params)
 end
 
 (* --- bulk writes ------------------------------------------------------- *)

@@ -24,6 +24,22 @@ val query : t -> string -> Tuple.t list
 val query_one : t -> string -> Tuple.t option
 (** First row of a SELECT, if any. *)
 
+val query_ctx :
+  t -> cols:(string * Value.ty) list -> rows:Tuple.t list -> string ->
+  Tuple.t list
+(** [query_ctx db ~cols ~rows sql] runs one SELECT (or UNION ALL) in which
+    the name [ctx] denotes [rows], a relation with columns [cols] (all
+    nullable, no indexes). [ctx] is resolved before the catalog, so it
+    hides a catalog table of that name for this statement only. The
+    relation is never registered in the catalog: no DDL runs, {!Catalog.version}
+    is unchanged, and cached plans of other statements stay valid. Its
+    plan is not cached; it counts as a plan-cache miss. The statement runs
+    under the same [sql-parse] / [plan] / [exec] spans, counters and
+    slow-query log as {!exec}. Inside a transaction it needs no journal.
+    @raise Sql_error if a row does not fit [cols], if [sql] does not parse
+    or is not a SELECT, or on plan or execution errors (an unbound [?]
+    among them). *)
+
 val exec_script : t -> string list -> unit
 (** Run a list of statements, discarding results. Each statement is parsed
     exactly once, and maximal runs of DML execute inside one implicit
@@ -81,7 +97,8 @@ val insert_row : t -> string -> Tuple.t -> int
     planning. Entries are invalidated by a catalog version counter bumped on
     every CREATE/DROP TABLE and CREATE INDEX, and {!restore} starts from an
     empty cache. Counted in [db.plan_cache.hit] / [db.plan_cache.miss] Obs
-    counters (misses count only cacheable, i.e. SELECT, statements). *)
+    counters (misses count only SELECT statements, {!query_ctx} included,
+    whose plans are never stored). *)
 
 val plan_cache_stats : t -> int * int * int
 (** [(hits, misses, entries)] since creation, counted even when Obs is

@@ -27,10 +27,15 @@ type from_entry = { alias : string; table : Table.t; tbl_idx : int }
 
 let norm = String.lowercase_ascii
 
-let make_env catalog (from : (string * string option) list) =
+let make_env ?ctx catalog (from : (string * string option) list) =
+  let find name =
+    match ctx with
+    | Some tbl when norm name = norm (Table.name tbl) -> Some tbl
+    | _ -> Catalog.find_table catalog name
+  in
   List.mapi
     (fun i (name, alias) ->
-      match Catalog.find_table catalog name with
+      match find name with
       | None -> fail "no such table %s" name
       | Some table ->
           { alias = norm (Option.value alias ~default:name); table; tbl_idx = i })
@@ -496,9 +501,9 @@ let extract_agg env (e : Sql_ast.sexpr) : Plan.agg =
       fail "%s takes exactly one argument" f
   | _ -> fail "only plain aggregate calls are supported in SELECT"
 
-let plan_select catalog (q : Sql_ast.select) =
+let plan_select ?ctx catalog (q : Sql_ast.select) =
   if q.from = [] then fail "FROM clause is required";
-  let env = make_env catalog q.from in
+  let env = make_env ?ctx catalog q.from in
   (* duplicate alias check *)
   let aliases = List.map (fun e -> e.alias) env in
   if List.length (List.sort_uniq compare aliases) <> List.length aliases then
@@ -514,11 +519,9 @@ let plan_select catalog (q : Sql_ast.select) =
      drop implied bounds, and detect unsatisfiable conjunctions — those
      short-circuit below into a plan that never touches a table *)
   let vconjuncts, contradiction =
-    if not !Simplify.enabled then (vconjuncts, false)
-    else
-      match Simplify.simplify_conjuncts vconjuncts with
-      | Simplify.Contradiction -> ([], true)
-      | Simplify.Conjuncts cs -> (cs, false)
+    match Simplify.simplify_conjuncts vconjuncts with
+    | Simplify.Contradiction -> ([], true)
+    | Simplify.Conjuncts cs -> (cs, false)
   in
   (* split single-table conjuncts *)
   let single, multi =

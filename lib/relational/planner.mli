@@ -10,8 +10,10 @@
 
 exception Plan_error of string
 
-val plan_select : Catalog.t -> Sql_ast.select -> Plan.t
-(** @raise Plan_error on unknown tables/columns, ambiguous references, or
+val plan_select : ?ctx:Table.t -> Catalog.t -> Sql_ast.select -> Plan.t
+(** [?ctx] is a relation outside the catalog: a FROM entry with its name
+    resolves to it before the catalog is consulted.
+    @raise Plan_error on unknown tables/columns, ambiguous references, or
     unsupported constructs. *)
 
 val resolve_expr_for_table : Table.t -> Sql_ast.sexpr -> Expr.t

@@ -7,11 +7,6 @@
     statements into an empty plan), and the SQL linter reuses the verdicts
     to flag always-false / always-true predicates statically. *)
 
-val enabled : bool ref
-(** Global toggle for the planner rewrite (default [true]). The analysis
-    entry points below work regardless of the flag; only {!Planner} consults
-    it. *)
-
 val fold : Expr.t -> Expr.t
 (** Constant folding. Column-free subexpressions are evaluated (NULL
     propagation included); [AND]/[OR] with a decided side collapse per SQL

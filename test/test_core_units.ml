@@ -1,5 +1,5 @@
 (* Unit coverage of the smaller core/xml building blocks: the PRNG, edge-row
-   decoding, context tables, encoding descriptors, workload presets. *)
+   decoding, bound context relations, encoding descriptors, workload presets. *)
 
 module O = Ordered_xml
 module V = Reldb.Value
@@ -82,26 +82,51 @@ let test_node_row_decode () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dewey on local row"
 
-(* --- temp context tables ----------------------------------------------- *)
+(* --- bound context relations ------------------------------------------- *)
 
-let test_temp_tables () =
+let test_bound_context () =
   let db = Reldb.Db.create () in
-  let result =
-    O.Temp.with_ctx db
-      ~cols:[ ("id", V.Tint); ("v", V.Ttext) ]
-      ~rows:[ [| V.Int 1; V.Str "a" |]; [| V.Int 2; V.Str "b" |] ]
-      (fun name -> Reldb.Db.query db (Printf.sprintf "SELECT id FROM %s" name))
-  in
-  check int_t "rows visible inside" 2 (List.length result);
-  (* the table is dropped afterwards, even on exceptions *)
-  (match
-     O.Temp.with_ctx db ~cols:[ ("id", V.Tint) ] ~rows:[] (fun _ ->
-         failwith "boom")
-   with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
-  check int_t "no leftover tables" 0
-    (List.length (Reldb.Catalog.tables (Reldb.Db.catalog db)))
+  let cat = Reldb.Db.catalog db in
+  let tables () = List.map Reldb.Table.name (Reldb.Catalog.tables cat) in
+  let cols = [ ("id", V.Tint); ("v", V.Ttext) ]
+  and rows = [ [| V.Int 1; V.Str "a" |]; [| V.Int 2; V.Str "b" |] ] in
+  check int_t "rows visible inside" 2
+    (List.length (Reldb.Db.query_ctx db ~cols ~rows "SELECT id FROM ctx"));
+  Reldb.Db.with_transaction db (fun () ->
+      check int_t "bound inside a transaction, where DDL is rejected" 1
+        (List.length
+           (Reldb.Db.query_ctx db ~cols ~rows "SELECT v FROM ctx WHERE id = 2")));
+  (* a failing bound statement leaves nothing behind *)
+  let version = Reldb.Catalog.version cat in
+  (match Reldb.Db.query_ctx db ~cols ~rows "SELECT nosuch FROM ctx" with
+  | exception Reldb.Db.Sql_error _ -> ()
+  | _ -> Alcotest.fail "unknown column accepted");
+  check (Alcotest.list string_t) "no leftover tables" [] (tables ());
+  check int_t "catalog version unchanged" version (Reldb.Catalog.version cat);
+  (* a user table named ctx keeps its rows, and context queries on a store
+     in the same Db still bind their own relation *)
+  ignore (Reldb.Db.exec db "CREATE TABLE ctx (id INT, note TEXT)");
+  ignore (Reldb.Db.exec db "INSERT INTO ctx VALUES (7, 'mine'), (8, 'also')");
+  let doc = O.Workload.dataset ~scale:1 in
+  let idx = O.Doc_index.build doc in
+  let xp = "/site/open_auctions/open_auction/bidder[1]" in
+  List.iter
+    (fun enc ->
+      let store = O.Api.Store.create db ~name:"u" enc doc in
+      let r = O.Api.Store.query store xp in
+      check bool_t "a context was bound" true
+        (List.exists
+           (fun sql -> Astring_contains.contains sql " ctx c ")
+           r.O.Translate.sql_log);
+      check (Alcotest.list int_t)
+        (O.Encoding.name enc ^ " oracle ids")
+        (O.Dom_eval.eval idx (O.Xpath_parser.parse xp))
+        (List.map (fun (n : O.Node_row.t) -> n.O.Node_row.id) r.O.Translate.rows);
+      O.Api.Store.drop store)
+    [ O.Encoding.Global; O.Encoding.Local; O.Encoding.Dewey_enc ];
+  check bool_t "user ctx rows" true
+    (Reldb.Db.query db "SELECT * FROM ctx ORDER BY id"
+    = [ [| V.Int 7; V.Str "mine" |]; [| V.Int 8; V.Str "also" |] ])
 
 (* --- workload presets --------------------------------------------------- *)
 
@@ -144,7 +169,7 @@ let tests =
       Alcotest.test_case "rng copy" `Quick test_rng_copy;
       Alcotest.test_case "encoding descriptors" `Quick test_encoding_names;
       Alcotest.test_case "node row decoding" `Quick test_node_row_decode;
-      Alcotest.test_case "temp context tables" `Quick test_temp_tables;
+      Alcotest.test_case "bound context relation" `Quick test_bound_context;
       Alcotest.test_case "workload presets" `Quick test_workload;
       Alcotest.test_case "deep generator" `Quick test_deep_generator;
     ] )

@@ -204,6 +204,64 @@ let test_doc_order_of_results () =
         (List.sort compare ids = ids))
     stores
 
+(* Reads do no DDL: a step's context is bound to its one statement, so the
+   catalog, the SQL text and other statements' cached plans do not depend
+   on what the process ran before. *)
+let read_encodings = [ O.Encoding.Global; O.Encoding.Local; O.Encoding.Dewey_enc ]
+let bidder1 = "/site/open_auctions/open_auction/bidder[1]"
+let binds_context sql = Astring_contains.contains sql " c WHERE "
+
+let fresh_store ?(db = Reldb.Db.create ()) ~name enc =
+  O.Api.Store.create db ~name enc (Lazy.force xmark)
+
+let test_reads_keep_catalog_version () =
+  List.iter
+    (fun enc ->
+      let store = fresh_store ~name:"v" enc in
+      let cat = Reldb.Db.catalog (O.Api.Store.db store) in
+      let before = Reldb.Catalog.version cat in
+      let r = O.Api.Store.query store bidder1 in
+      check bool_t "a context was bound" true
+        (List.exists binds_context r.O.Translate.sql_log);
+      check int_t (O.Encoding.name enc ^ " catalog version") before
+        (Reldb.Catalog.version cat))
+    read_encodings
+
+let test_sql_log_is_history_free () =
+  List.iter
+    (fun enc ->
+      let log () =
+        (O.Api.Store.query (fresh_store ~name:"h" enc) bidder1).O.Translate.sql_log
+      in
+      let first = log () in
+      check (Alcotest.list Alcotest.string) (O.Encoding.name enc ^ " sql_log")
+        first (log ()))
+    read_encodings
+
+let test_context_query_keeps_other_plans () =
+  let workload =
+    List.filter_map (fun (q : O.Workload.query) -> q.O.Workload.q_xpath)
+      O.Workload.queries
+  in
+  List.iter
+    (fun enc ->
+      let db = Reldb.Db.create () in
+      let a = fresh_store ~db ~name:"a" enc and b = fresh_store ~db ~name:"b" enc in
+      let run_b () =
+        List.concat_map
+          (fun xp -> (O.Api.Store.query b xp).O.Translate.sql_log)
+          workload
+      in
+      ignore (run_b ());
+      ignore (O.Api.Store.query a bidder1);
+      let hits () = let h, _, _ = Reldb.Db.plan_cache_stats db in h in
+      let h0 = hits () in
+      let log = run_b () in
+      check int_t (O.Encoding.name enc ^ " hits = statements binding no context")
+        (List.length (List.filter (fun sql -> not (binds_context sql)) log))
+        (hits () - h0))
+    read_encodings
+
 (* randomized: random documents x random paths, all encodings *)
 let prop_oracle_equivalence =
   let gen =
@@ -244,5 +302,11 @@ let tests =
         test_local_union_sorts_once;
       Alcotest.test_case "local ancestor walks chains once" `Quick
         test_local_ancestor_single_walk;
+      Alcotest.test_case "reads keep the catalog version" `Quick
+        test_reads_keep_catalog_version;
+      Alcotest.test_case "sql_log is history-free" `Quick
+        test_sql_log_is_history_free;
+      Alcotest.test_case "context query keeps other plans" `Quick
+        test_context_query_keeps_other_plans;
       QCheck_alcotest.to_alcotest prop_oracle_equivalence;
     ] )
