@@ -113,7 +113,26 @@ let () =
          version delta %d (informational)\n"
         (O.Encoding.name enc)
         (float_of_int (h1 - h0) /. float_of_int (h1 - h0 + m1 - m0))
-        (v1 - v0))
+        (v1 - v0);
+      (* informational: rows read by two context-bound workloads, which
+         probe the edge table's indexes rather than scan it *)
+      let rows_read f =
+        Reldb.Db.reset_counters db;
+        f ();
+        Reldb.Db.rows_read db
+      in
+      let q8 =
+        rows_read (fun () ->
+            List.iter
+              (fun id -> ignore (O.Api.Store.serialize store ~id))
+              (O.Api.Store.query_ids store O.Workload.q8_target))
+      in
+      let wildcard = "/site/open_auctions/open_auction/*" in
+      let wild = rows_read (fun () -> ignore (O.Api.Store.query store wildcard)) in
+      Printf.printf
+        "bench-smoke: rows read/%s: serialize(Q8 target) %d, %s %d \
+         (informational)\n"
+        (O.Encoding.name enc) q8 wildcard wild)
     O.Encoding.[ Global; Local; Dewey_enc ];
   (* informational: the same query against a durable (WAL-backed) database.
      Reads are never logged, so this should track the in-memory figure; it

@@ -105,7 +105,7 @@ let e3 () =
               Reldb.Db.reset_counters db;
               let ms = median_ms (fun () -> O.Api.Store.query store xp) in
               let rows = Reldb.Db.rows_read db / 5 in
-              Printf.printf " %7.1f/%-6d" ms rows
+              Printf.printf " %7.2f/%-6d" ms rows
           | None ->
               (* Q8: reconstruct the first open auction *)
               let id =
@@ -114,7 +114,7 @@ let e3 () =
               Reldb.Db.reset_counters db;
               let ms = median_ms (fun () -> O.Api.Store.subtree store ~id) in
               let rows = Reldb.Db.rows_read db / 5 in
-              Printf.printf " %7.1f/%-6d" ms rows)
+              Printf.printf " %7.2f/%-6d" ms rows)
         stores;
       print_newline ())
     O.Workload.queries

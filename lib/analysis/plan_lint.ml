@@ -20,7 +20,7 @@ let rec filtered_seq_scan preds = function
   | _ -> None
 
 let rec has_base_scan = function
-  | P.Seq_scan _ | P.Index_scan _ -> true
+  | P.Seq_scan _ | P.Index_scan _ | P.Index_join _ -> true
   | p -> List.exists has_base_scan (P.children p)
 
 let lint_plan plan =

@@ -47,7 +47,7 @@ let fetch_subtree_rows db ~doc enc ~root =
       let frontier = ref [ root ] in
       while !frontier <> [] do
         let level =
-          Translate.select_in_context db ~doc enc ~inline:4
+          Translate.select_in_context db ~doc enc
             ~ids:(List.map (fun (r : Node_row.t) -> r.Node_row.id) !frontier)
             (fun c ~e -> Printf.sprintf "%s.parent = %s" e c.Axis_sql.id)
         in

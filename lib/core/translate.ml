@@ -102,18 +102,22 @@ let binding enc = function
    produced it. *)
 type _ shape = Tagged : (int * Node_row.t) shape | Untagged : Node_row.t shape
 
-(* The one place that decides how a context reaches SQL: at most [inline]
-   nodes are inlined as literals, one statement each; more are bound as
-   the relation [ctx c] of a single statement. [where] is the WHERE clause
-   over the candidate alias [e] and a context reference. *)
-let select_ctx (type a) st ~inline (shape : a shape) context where : a list =
+let inline_threshold = 4
+
+(* The one place that decides how a context reaches SQL: at most
+   [inline_threshold] nodes are inlined as literals, one statement each;
+   more are bound as the relation [ctx c] of a single statement, which the
+   engine answers by probing the edge table's indexes once per context row.
+   [where] is the WHERE clause over the candidate alias [e] and a context
+   reference. *)
+let select_ctx (type a) st (shape : a shape) context where : a list =
   let select tag from c =
     Printf.sprintf "SELECT %s%s FROM %s e%s WHERE %s" tag
       (Node_row.select_list st.enc "e")
       st.tname from (where c ~e:"e")
   in
   let size = match context with Ids l -> List.length l | Rows l -> List.length l in
-  if size <= inline then
+  if size <= inline_threshold then
     List.concat_map
       (fun (id, c) : a list ->
         let rows = plain_rows st (select "" "" c) in
@@ -137,20 +141,18 @@ let select_ctx (type a) st ~inline (shape : a shape) context where : a list =
             (id, Node_row.of_tuple st.enc (Array.sub tu 1 (Array.length tu - 1))))
           (run_sql ~ctx st (select "c.id, " ", ctx c" c))
 
-let select_in_context db ~doc enc ~inline ~ids where =
-  select_ctx (state db ~doc enc) ~inline Untagged (Ids ids) where
+let select_in_context db ~doc enc ~ids where =
+  select_ctx (state db ~doc enc) Untagged (Ids ids) where
 
 (* ------------------------------------------------------------------ *)
 (* Candidate generation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let inline_threshold = 4
-
 (* Run the axis range and node test for every context row, tagging results
    with the producing context id. *)
 let sql_candidates st ctx_rows cond axis test =
   let tc = Axis_sql.test_cond ~e:"e" axis test in
-  select_ctx st ~inline:inline_threshold Tagged (Rows ctx_rows) (fun c ~e ->
+  select_ctx st Tagged (Rows ctx_rows) (fun c ~e ->
       Printf.sprintf "%s AND %s" (cond c ~e) tc)
 
 let test_passes axis (test : A.node_test) (r : Node_row.t) =
@@ -219,13 +221,10 @@ let local_world st =
   | None -> raise (Unsupported "document has no root row"));
   { w_rows; w_rank; w_end; w_anc }
 
-(* Fetch rows by id. Small sets go through the unique id index as point
-   queries (one statement each, one row read each); large sets are bound
-   as the context relation and joined. *)
-let by_id_inline_threshold = 64
-
+(* Fetch rows by id through the unique id index: one row read per id,
+   whether the ids are inlined or bound as the context relation. *)
 let fetch_by_ids st ids =
-  select_ctx st ~inline:by_id_inline_threshold Untagged
+  select_ctx st Untagged
     (Ids (List.sort_uniq compare ids))
     (fun c ~e -> Printf.sprintf "%s.id = %s" e c.Axis_sql.id)
 
@@ -289,7 +288,7 @@ let local_descendants st ctx_rows =
         (List.map (fun (_, r, _) -> r.Node_row.id) !frontier)
     in
     let children =
-      select_ctx st ~inline:inline_threshold Tagged (Ids distinct) (fun c ~e ->
+      select_ctx st Tagged (Ids distinct) (fun c ~e ->
           Printf.sprintf "%s.parent = %s AND %s.kind <> 2" e c.Axis_sql.id e)
     in
     let by_parent : (int, (int * Node_row.t) list) Hashtbl.t = Hashtbl.create 64 in

@@ -57,14 +57,14 @@ val sort_document_order :
     the sorted rows and the number of extra SQL statements issued. *)
 
 val select_in_context :
-  Reldb.Db.t -> doc:string -> Encoding.t -> inline:int -> ids:int list ->
+  Reldb.Db.t -> doc:string -> Encoding.t -> ids:int list ->
   (Axis_sql.ctx -> e:string -> string) -> Node_row.t list
-(** [select_in_context db ~doc enc ~inline ~ids where] selects the edge
-    rows of alias [e] satisfying [where] for some context node of [ids]
-    (only the context's [id] is set). With at most [inline] ids it issues
-    one statement per id, inlined as a literal; otherwise one statement
-    over the ids bound as [ctx c] through {!Reldb.Db.query_ctx}. The step
-    translator makes the same choice in the same function. *)
+(** [select_in_context db ~doc enc ~ids where] selects the edge rows of
+    alias [e] satisfying [where] for some context node of [ids] (only the
+    context's [id] is set). With at most 4 ids it issues one statement per
+    id, inlined as a literal; otherwise one statement over the ids bound as
+    [ctx c] through {!Reldb.Db.query_ctx}. The step translator makes the
+    same choice in the same function. *)
 
 val value_matches : Xpath_ast.cmp -> Xpath_ast.literal -> string -> bool
 (** [value_matches op lit s]: whether string value [s] satisfies

@@ -30,7 +30,10 @@ val query_ctx :
 (** [query_ctx db ~cols ~rows sql] runs one SELECT (or UNION ALL) in which
     the name [ctx] denotes [rows], a relation with columns [cols] (all
     nullable, no indexes). [ctx] is resolved before the catalog, so it
-    hides a catalog table of that name for this statement only. The
+    hides a catalog table of that name for this statement only. A table
+    joined to [ctx] that would otherwise be scanned in full, and one of
+    whose index keys the WHERE conjuncts bind from [ctx] columns, is probed
+    through that index once per [ctx] row (see {!Planner.plan_select}). The
     relation is never registered in the catalog: no DDL runs, {!Catalog.version}
     is unchanged, and cached plans of other statements stay valid. Its
     plan is not cached; it counts as a plan-cache miss. The statement runs

@@ -72,6 +72,35 @@ let agg_expr = function
   | Plan.Count_star -> None
   | Plan.Count e | Plan.Sum e | Plan.Min e | Plan.Max e | Plan.Avg e -> Some e
 
+(* The B+-tree range one index-join probe reads for an outer row, or [None]
+   when a key value is NULL (SQL equality and comparison with NULL never
+   hold). A bounded key column also skips the stored NULLs, which sort
+   first. *)
+let probe_range prefix lo hi outer_row =
+  let value e =
+    match Expr.eval e outer_row with Value.Null -> None | v -> Some v
+  in
+  let key = Array.map value prefix in
+  if Array.exists Option.is_none key then None
+  else begin
+    let key = Array.map Option.get key in
+    let ext v = Array.append key [| v |] in
+    let bound ~open_ = function
+      | Plan.Unbounded -> Some open_
+      | Plan.Incl e -> Option.map (fun v -> Btree.Incl (ext v)) (value e)
+      | Plan.Excl e -> Option.map (fun v -> Btree.Excl (ext v)) (value e)
+    in
+    let whole = if Array.length key = 0 then Btree.Unbounded else Btree.Incl key in
+    let lo_open =
+      match hi with
+      | Plan.Unbounded -> whole
+      | Plan.Incl _ | Plan.Excl _ -> Btree.Excl (ext Value.Null)
+    in
+    match (bound ~open_:lo_open lo, bound ~open_:whole hi) with
+    | Some lo, Some hi -> Some (lo, hi)
+    | _ -> None
+  end
+
 (* The evaluator is parametric in a per-node wrapper so the same operator
    implementations serve both the plain path (identity wrapper) and EXPLAIN
    ANALYZE (a row-counting, pull-timing wrapper around every operator). *)
@@ -109,6 +138,23 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
                  | None -> Some joined
                  | Some e -> if Expr.eval_bool e joined then Some joined else None)
                inner_rows))
+        (run outer)
+  | Plan.Index_join { outer; table; index; prefix; lo; hi; pred } ->
+      Seq.concat_map
+        (fun ot ->
+          match probe_range prefix lo hi ot with
+          | None -> Seq.empty
+          | Some (lo, hi) ->
+              Seq.filter_map
+                (fun (_, rowid) ->
+                  match Table.get table rowid with
+                  | None -> None
+                  | Some it -> (
+                      let joined = Tuple.concat ot it in
+                      match pred with
+                      | Some e when not (Expr.eval_bool e joined) -> None
+                      | _ -> Some joined))
+                (Btree.range index.Table.tree ~lo ~hi))
         (run outer)
   | Plan.Hash_join { left; right; left_key; right_key; residual } ->
       let table = Hashtbl.create 1024 in
@@ -280,7 +326,7 @@ let instrument st (s : Tuple.t Seq.t) : Tuple.t Seq.t =
 let run_profiled (p : Plan.t) : Tuple.t list * prof =
   (* stats are keyed by the plan node's physical identity: structurally
      equal nodes (a self-join's two scans) must keep separate counters *)
-  let assoc = ref [] in
+  let assoc = ref [] and index_joins = ref [] in
   let rec build p =
     let children = List.map build (Plan.children p) in
     let node =
@@ -293,6 +339,7 @@ let run_profiled (p : Plan.t) : Tuple.t list * prof =
       }
     in
     assoc := (Obj.repr p, node) :: !assoc;
+    (match p with Plan.Index_join _ -> index_joins := node :: !index_joins | _ -> ());
     node
   in
   let root = build p in
@@ -302,6 +349,13 @@ let run_profiled (p : Plan.t) : Tuple.t list * prof =
     | Some st -> instrument st s
   in
   let tuples = List.of_seq (wrap p (eval ~wrap p)) in
+  (* an index join's loops are its probes: one per outer row pulled *)
+  List.iter
+    (fun node ->
+      match node.prof_children with
+      | [ outer ] -> node.prof_loops <- outer.prof_rows
+      | _ -> ())
+    !index_joins;
   (tuples, root)
 
 let rec pp_prof_indent ppf (level, pr) =

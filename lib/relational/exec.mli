@@ -21,7 +21,9 @@ type prof = {
   prof_label : string;  (** {!Plan.label} of the operator *)
   prof_children : prof list;
   mutable prof_rows : int;  (** rows the operator produced *)
-  mutable prof_loops : int;  (** times its output sequence was started *)
+  mutable prof_loops : int;
+      (** times its output sequence was started; for an index join, the
+          probes it ran (one per outer row) *)
   mutable prof_ns : int64;
       (** time spent pulling rows out of it, children included *)
 }

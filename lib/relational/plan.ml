@@ -8,6 +8,8 @@ type agg =
   | Max of Expr.t
   | Avg of Expr.t
 
+type probe_bound = Unbounded | Incl of Expr.t | Excl of Expr.t
+
 type t =
   | Seq_scan of Table.t
   | Index_scan of {
@@ -20,6 +22,15 @@ type t =
   | Filter of Expr.t * t
   | Project of (Expr.t * string) array * t
   | Nl_join of { outer : t; inner : t; pred : Expr.t option }
+  | Index_join of {
+      outer : t;
+      table : Table.t;
+      index : Table.index;
+      prefix : Expr.t array;
+      lo : probe_bound;
+      hi : probe_bound;
+      pred : Expr.t option;
+    }
   | Hash_join of {
       left : t;
       right : t;
@@ -76,6 +87,8 @@ let rec schema_of = function
         cols
   | Nl_join { outer; inner; _ } ->
       Schema.concat (schema_of outer) (schema_of inner)
+  | Index_join { outer; table; _ } ->
+      Schema.concat (schema_of outer) (Table.schema table)
   | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
       Schema.concat (schema_of left) (schema_of right)
   | Sort { input; _ } | Limit { input; _ } -> schema_of input
@@ -128,6 +141,36 @@ let label = function
         (match pred with
         | None -> ""
         | Some e -> Format.asprintf " on %a" Expr.pp e)
+  | Index_join { table; index; prefix; lo; hi; pred; _ } ->
+      let key =
+        if Array.length prefix = 0 then ""
+        else
+          Format.asprintf " key (%a)"
+            (Format.pp_print_list
+               ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+               Expr.pp)
+            (Array.to_list prefix)
+      in
+      let range =
+        let ex = Format.asprintf "%a" Expr.pp in
+        match (lo, hi) with
+        | Unbounded, Unbounded -> ""
+        | _ ->
+            Printf.sprintf " range %s .. %s"
+              (match lo with
+              | Unbounded -> "(-inf"
+              | Incl e -> "[" ^ ex e
+              | Excl e -> "(" ^ ex e)
+              (match hi with
+              | Unbounded -> "+inf)"
+              | Incl e -> ex e ^ "]"
+              | Excl e -> ex e ^ ")")
+      in
+      Printf.sprintf "IndexJoin %s.%s%s%s%s" (Table.name table)
+        index.Table.idx_name key range
+        (match pred with
+        | None -> ""
+        | Some e -> Format.asprintf " filter %a" Expr.pp e)
   | Hash_join { left_key; right_key; _ } ->
       Printf.sprintf "HashJoin build(%s) probe(%s)"
         (String.concat "," (Array.to_list (Array.map string_of_int left_key)))
@@ -160,7 +203,8 @@ let children = function
   | Sort { input = p; _ }
   | Distinct p
   | Aggregate { input = p; _ }
-  | Limit { input = p; _ } ->
+  | Limit { input = p; _ }
+  | Index_join { outer = p; _ } ->
       [ p ]
   | Nl_join { outer; inner; _ } -> [ outer; inner ]
   | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->

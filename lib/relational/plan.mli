@@ -10,6 +10,10 @@ type agg =
   | Max of Expr.t
   | Avg of Expr.t
 
+(** A bound on the key column after an {!Index_join}'s prefix, evaluated
+    against each outer row. *)
+type probe_bound = Unbounded | Incl of Expr.t | Excl of Expr.t
+
 type t =
   | Seq_scan of Table.t
   | Index_scan of {
@@ -23,6 +27,23 @@ type t =
   | Project of (Expr.t * string) array * t
   | Nl_join of { outer : t; inner : t; pred : Expr.t option }
       (** predicate evaluated over the concatenated schema (outer then inner) *)
+  | Index_join of {
+      outer : t;
+      table : Table.t;
+      index : Table.index;
+      prefix : Expr.t array;
+      lo : probe_bound;
+      hi : probe_bound;
+      pred : Expr.t option;
+    }
+      (** index nested-loop join: for each outer row, [prefix] (values for
+          the index's leading key columns) and [lo]/[hi] (bounds on the next
+          key column) are evaluated over that row, and [index] is probed with
+          one {!Btree.range}. Inner rows are fetched with {!Table.get}, so
+          exactly the probed rows count as read; [pred] is then evaluated
+          over the concatenated schema (outer then inner). A NULL prefix or
+          bound value matches nothing, and a bounded key column never
+          matches a NULL. *)
   | Hash_join of {
       left : t;
       right : t;

@@ -125,125 +125,106 @@ let rec contains_agg (e : Sql_ast.sexpr) =
 (* Access-path selection                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A conjunct over one table, with columns local to its schema. *)
+(* How conjuncts bind an index's key: equalities on a key prefix, then
+   ranges on the following key column. [key_col e] is the key-table column
+   [e] names, or -1; [bindable e] says whether [e] may serve as a key
+   value: a non-NULL constant for a plain index scan, or also an expression
+   over the already-joined side for an index join. *)
+type index_match = {
+  consumed : Expr.t list;  (** conjuncts the probe makes exact *)
+  prefix : Expr.t array;
+  lo : Plan.probe_bound;  (** on the column after [prefix] *)
+  hi : Plan.probe_bound;
+  score : int;
+}
 
-type range_side = { cmp : Expr.cmp; const : Value.t }
+let flip = function
+  | Expr.Lt -> Expr.Gt
+  | Expr.Le -> Expr.Ge
+  | Expr.Gt -> Expr.Lt
+  | Expr.Ge -> Expr.Le
+  | (Expr.Eq | Expr.Ne) as op -> op
 
-(* For an index, try to consume conjuncts: equalities on a key prefix, then
-   ranges on the following key column. Returns (consumed, lo, hi, score). *)
-let match_index (idx : Table.index) conjuncts =
-  let eq_on col =
-    List.find_opt
-      (fun c ->
-        match c with
-        | Expr.Cmp (Expr.Eq, Expr.Col i, Expr.Const v)
-        | Expr.Cmp (Expr.Eq, Expr.Const v, Expr.Col i) ->
-            i = col && not (Value.is_null v)
-        | _ -> false)
-      conjuncts
-  in
-  let const_of = function
-    | Expr.Cmp (_, Expr.Col _, Expr.Const v) | Expr.Cmp (_, Expr.Const v, Expr.Col _)
-      ->
-        v
-    | _ -> assert false
-  in
-  let ranges_on col =
-    List.filter_map
-      (fun c ->
-        match c with
-        | Expr.Cmp (op, Expr.Col i, Expr.Const v)
-          when i = col && (not (Value.is_null v))
-               && (op = Expr.Lt || op = Expr.Le || op = Expr.Gt || op = Expr.Ge)
-          ->
-            Some (c, { cmp = op; const = v })
-        | Expr.Cmp (op, Expr.Const v, Expr.Col i)
-          when i = col && (not (Value.is_null v))
-               && (op = Expr.Lt || op = Expr.Le || op = Expr.Gt || op = Expr.Ge)
-          ->
-            (* flip: v op col  <=>  col op' v *)
-            let flipped =
-              match op with
-              | Expr.Lt -> Expr.Gt
-              | Expr.Le -> Expr.Ge
-              | Expr.Gt -> Expr.Lt
-              | Expr.Ge -> Expr.Le
-              | Expr.Eq | Expr.Ne -> op
-            in
-            Some (c, { cmp = flipped; const = v })
-        | _ -> None)
-      conjuncts
-  in
+(* [c] as [col = v] or [v = col]: the first such conjunct and its [v].
+   Planning runs for every DML statement, so the matchers below are plain
+   recursion (no closures) and allocate only for what they return. *)
+let rec eq_on ~key_col ~bindable col = function
+  | [] -> None
+  | (Expr.Cmp (Expr.Eq, a, b) as c) :: _ when key_col a = col && bindable b ->
+      Some (c, b)
+  | (Expr.Cmp (Expr.Eq, a, b) as c) :: _ when key_col b = col && bindable a ->
+      Some (c, a)
+  | _ :: rest -> eq_on ~key_col ~bindable col rest
+
+(* every conjunct [col op v] with a range operator, flipped so [col] is on
+   the left *)
+let rec ranges_on ~key_col ~bindable col = function
+  | [] -> []
+  | (Expr.Cmp ((Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge as op), a, b) as c) :: rest
+    when key_col a = col && bindable b ->
+      (c, op, b) :: ranges_on ~key_col ~bindable col rest
+  | (Expr.Cmp ((Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge as op), a, b) as c) :: rest
+    when key_col b = col && bindable a ->
+      (c, flip op, a) :: ranges_on ~key_col ~bindable col rest
+  | _ :: rest -> ranges_on ~key_col ~bindable col rest
+
+let match_index ~key_col ~bindable (idx : Table.index) conjuncts =
+  let eq_on col = eq_on ~key_col ~bindable col conjuncts in
+  let ranges_on col = ranges_on ~key_col ~bindable col conjuncts in
   let key = idx.Table.key_cols in
   let rec eat_prefix i consumed prefix =
     if i >= Array.length key then (i, consumed, prefix)
     else
       match eq_on key.(i) with
-      | Some c -> eat_prefix (i + 1) (c :: consumed) (const_of c :: prefix)
+      | Some (c, v) -> eat_prefix (i + 1) (c :: consumed) (v :: prefix)
       | None -> (i, consumed, prefix)
   in
   let neq, consumed, rev_prefix = eat_prefix 0 [] [] in
   let prefix = Array.of_list (List.rev rev_prefix) in
-  let lo0 = if Array.length prefix = 0 then Btree.Unbounded else Btree.Incl prefix in
-  let hi0 = if Array.length prefix = 0 then Btree.Unbounded else Btree.Incl prefix in
-  if neq >= Array.length key then (consumed, lo0, hi0, (2 * neq) + 1)
-  else begin
-    let next_col = key.(neq) in
-    let rs = ranges_on next_col in
-    if rs = [] then (consumed, lo0, hi0, 2 * neq)
-    else begin
-      (* fold all ranges on the column into one lo and one hi *)
-      let lo = ref lo0 and hi = ref hi0 and used = ref consumed in
-      List.iter
-        (fun (c, { cmp; const }) ->
-          let k = Array.append prefix [| const |] in
-          (* Bounds use truncated-prefix semantics (see Btree.range), so a
-             key that extends another covers a narrower slice: the longer
-             key is always the tighter bound, for lo and hi alike. For
-             equal keys Excl is tighter. *)
-          let strict_prefix a b =
-            Array.length a < Array.length b
-            && Tuple.compare_key a (Array.sub b 0 (Array.length a)) = 0
-          in
-          let tighter ~keep_larger current cand =
-            match (current, cand) with
-            | Btree.Unbounded, b -> b
-            | b, Btree.Unbounded -> b
-            | (Btree.Incl a | Btree.Excl a), (Btree.Incl b | Btree.Excl b) ->
-                if strict_prefix a b then cand
-                else if strict_prefix b a then current
-                else
-                  let c = Tuple.compare_key a b in
-                  if c = 0 then
-                    match (current, cand) with
-                    | Btree.Excl _, _ -> current
-                    | _, (Btree.Excl _ as b) -> b
-                    | a, _ -> a
-                  else if (c > 0) = keep_larger then current
-                  else cand
-          in
-          let stronger_lo = tighter ~keep_larger:true in
-          let stronger_hi = tighter ~keep_larger:false in
-          match cmp with
-          | Expr.Ge ->
-              lo := stronger_lo !lo (Btree.Incl k);
-              used := c :: !used
-          | Expr.Gt ->
-              lo := stronger_lo !lo (Btree.Excl k);
-              used := c :: !used
-          | Expr.Le ->
-              hi := stronger_hi !hi (Btree.Incl k);
-              used := c :: !used
-          | Expr.Lt ->
-              hi := stronger_hi !hi (Btree.Excl k);
-              used := c :: !used
-          | Expr.Eq | Expr.Ne -> ())
-        rs;
-      (* A pure range (no eq prefix) with only an upper bound must still be
-         constrained below by the prefix, which is empty: fine. *)
-      (!used, !lo, !hi, (2 * neq) + 1)
-    end
-  end
+  let ranges = if neq < Array.length key then ranges_on key.(neq) else [] in
+  let score =
+    if neq >= Array.length key || ranges <> [] then (2 * neq) + 1 else 2 * neq
+  in
+  (* fold all ranges on the column into one lo and one hi. Constant bounds
+     compare at plan time: the tighter one wins (Excl over Incl on equal
+     values) and the looser is implied, so both are consumed. A bound over
+     the joined side cannot be compared: the first one found is kept and
+     any other stays a residual conjunct. *)
+  let pick ~keep_larger current cand =
+    match (current, cand) with
+    | Plan.Unbounded, _ -> Some cand
+    | ( (Plan.Incl (Expr.Const a) | Plan.Excl (Expr.Const a)),
+        (Plan.Incl (Expr.Const b) | Plan.Excl (Expr.Const b)) ) ->
+        let c = Value.compare a b in
+        if c = 0 then
+          match (current, cand) with
+          | Plan.Excl _, _ -> Some current
+          | _, (Plan.Excl _ as b) -> Some b
+          | a, _ -> Some a
+        else if (c > 0) = keep_larger then Some current
+        else Some cand
+    | _ -> None
+  in
+  let consumed, lo, hi =
+    List.fold_left
+      (fun ((consumed, lo, hi) as m) (c, op, v) ->
+        let is_lo = op = Expr.Gt || op = Expr.Ge in
+        let cand =
+          if op = Expr.Gt || op = Expr.Lt then Plan.Excl v else Plan.Incl v
+        in
+        match pick ~keep_larger:is_lo (if is_lo then lo else hi) cand with
+        | None -> m
+        | Some b -> if is_lo then (c :: consumed, b, hi) else (c :: consumed, lo, b))
+      (consumed, Plan.Unbounded, Plan.Unbounded)
+      ranges
+  in
+  { consumed; prefix; lo; hi; score }
+
+let const_key_col = function Expr.Col i -> i | _ -> -1
+
+let const_bindable = function
+  | Expr.Const v -> not (Value.is_null v)
+  | _ -> false
 
 (* Choose the best access path for [table] given local conjuncts. Returns the
    plan for the scan plus residual conjuncts (already-consumed conjuncts are
@@ -252,19 +233,32 @@ let choose_access table conjuncts =
   let best = ref None in
   List.iter
     (fun idx ->
-      let consumed, lo, hi, score = match_index idx conjuncts in
-      if score > 0 then
+      let m =
+        match_index ~key_col:const_key_col ~bindable:const_bindable idx
+          conjuncts
+      in
+      if m.score > 0 then
         match !best with
-        | Some (_, _, _, _, s) when s >= score -> ()
-        | _ -> best := Some (idx, consumed, lo, hi, score))
+        | Some (_, s) when s.score >= m.score -> ()
+        | _ -> best := Some (idx, m))
     (Table.indexes table);
   match !best with
   | None -> (Plan.Seq_scan table, conjuncts)
-  | Some (idx, consumed, lo, hi, _) ->
+  | Some (idx, m) ->
       let residual =
-        List.filter (fun c -> not (List.memq c consumed)) conjuncts
+        List.filter (fun c -> not (List.memq c m.consumed)) conjuncts
       in
-      (Plan.Index_scan { table; index = idx; lo; hi; reverse = false }, residual)
+      let value e = Expr.eval e [||] in
+      let key = Array.map value m.prefix in
+      let bound = function
+        | Plan.Unbounded ->
+            if Array.length key = 0 then Btree.Unbounded else Btree.Incl key
+        | Plan.Incl e -> Btree.Incl (Array.append key [| value e |])
+        | Plan.Excl e -> Btree.Excl (Array.append key [| value e |])
+      in
+      ( Plan.Index_scan
+          { table; index = idx; lo = bound m.lo; hi = bound m.hi; reverse = false },
+        residual )
 
 let with_filter plan = function
   | [] -> plan
@@ -279,7 +273,8 @@ let with_filter plan = function
 
 let cols_of_tables e = List.map vcol_table (Expr.columns e) |> List.sort_uniq compare
 
-let plan_joins env table_plans vconjuncts =
+(* [ctx_idx] is the FROM position of the bound relation [ctx], if any. *)
+let plan_joins ~ctx_idx env table_plans vconjuncts =
   (* table_plans: tbl_idx -> (plan, residual local conjuncts applied) *)
   let n = List.length env in
   let placed = Array.make n (-1) in
@@ -311,10 +306,62 @@ let plan_joins env table_plans vconjuncts =
     let indexed = match plan with Plan.Index_scan _ -> 0.05 | _ -> 1.0 in
     base *. indexed /. (3.0 ** float_of_int (List.length residual))
   in
+  (* The one index-join rule: table [j] is probed from the bound relation
+     [ctx] (FROM position [k]) placed alone, only when [j]'s constant-only
+     access path is a full scan and one of its indexes can be keyed from
+     [ctx] columns plus constants. Join conjuncts go first, so that a bound
+     over [ctx] (the context's own position) wins over a constant one on the
+     same key column. Returns the table, the index, the match and [j]'s
+     local conjuncts (virtual columns) that the match refers to. *)
+  let index_probe k j =
+    match List.nth table_plans j with
+    | Plan.Seq_scan table, local ->
+        let local = List.map (Expr.map_columns (vcol j)) local in
+        let connecting =
+          List.filter
+            (fun c ->
+              let ts = cols_of_tables c in
+              List.mem j ts && List.for_all (fun t -> t = j || t = k) ts)
+            !conj_remaining
+        in
+        let key_col = function
+          | Expr.Col v when vcol_table v = j -> vcol_local v
+          | _ -> -1
+        in
+        let bindable = function
+          | Expr.Const v -> not (Value.is_null v)
+          | e -> List.for_all (fun t -> t = k) (cols_of_tables e)
+        in
+        List.fold_left
+          (fun best idx ->
+            let m = match_index ~key_col ~bindable idx (connecting @ local) in
+            match best with
+            | Some (_, _, b, _) when b.score >= m.score -> best
+            | _ when m.score = 0 -> best
+            | _ -> Some (table, idx, m, local))
+          None (Table.indexes table)
+    | _ -> None
+  in
+  (* with [ctx] placed alone, the next table to join, if one can be probed *)
+  let probe_from_ctx () =
+    match ctx_idx with
+    | Some k when !used = [ k ] ->
+        List.find_map
+          (fun j -> Option.map (fun pr -> (j, pr)) (index_probe k j))
+          !remaining
+    | _ -> None
+  in
   let first =
-    List.fold_left
-      (fun best i -> if estimate i < estimate best then i else best)
-      (List.hd !remaining) !remaining
+    match ctx_idx with
+    | Some k
+      when List.exists
+             (fun j -> j <> k && Option.is_some (index_probe k j))
+             !remaining ->
+        k
+    | _ ->
+        List.fold_left
+          (fun best i -> if estimate i < estimate best then i else best)
+          (List.hd !remaining) !remaining
   in
   let base_plan, base_resid = List.nth table_plans first in
   placed.(first) <- 0;
@@ -323,96 +370,124 @@ let plan_joins env table_plans vconjuncts =
   let current = ref (with_filter base_plan base_resid) in
   let current_arity = ref (arity first) in
   while !remaining <> [] do
-    (* find a remaining table connected by an equi-join conjunct *)
-    let connects j =
-      List.exists
-        (fun c ->
-          match c with
-          | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-              let ta = vcol_table a and tb = vcol_table b in
-              (ta = j && List.mem tb !used) || (tb = j && List.mem ta !used)
-          | _ -> false)
-        !conj_remaining
-    in
-    let j =
-      match List.find_opt connects !remaining with
-      | Some j -> j
-      | None ->
-          (* no equi-connected table left: prefer one tied to the placed set
-             by any predicate (the translator's descendant/sibling joins are
-             range joins), so the nested loop at least filters instead of
-             producing a cartesian product *)
-          let theta_connects j =
-            List.exists
-              (fun c ->
-                let ts = cols_of_tables c in
-                List.mem j ts
-                && ts <> [ j ]
-                && List.for_all (fun t -> t = j || List.mem t !used) ts)
-              !conj_remaining
-          in
-          (match List.find_opt theta_connects !remaining with
+    match probe_from_ctx () with
+    | Some (j, (table, index, m, local)) ->
+        placed.(j) <- !current_arity;
+        used := j :: !used;
+        let now, later = List.partition all_placed !conj_remaining in
+        conj_remaining := later;
+        let residual =
+          List.filter (fun c -> not (List.memq c m.consumed)) (local @ now)
+        in
+        let bound = function
+          | Plan.Unbounded -> Plan.Unbounded
+          | Plan.Incl e -> Plan.Incl (to_physical e)
+          | Plan.Excl e -> Plan.Excl (to_physical e)
+        in
+        current :=
+          Plan.Index_join
+            {
+              outer = !current;
+              table;
+              index;
+              prefix = Array.map to_physical m.prefix;
+              lo = bound m.lo;
+              hi = bound m.hi;
+              pred = Expr.conjoin (List.map to_physical residual);
+            };
+        current_arity := !current_arity + arity j;
+        remaining := List.filter (fun i -> i <> j) !remaining
+    | None ->
+        (* find a remaining table connected by an equi-join conjunct *)
+        let connects j =
+          List.exists
+            (fun c ->
+              match c with
+              | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
+                  let ta = vcol_table a and tb = vcol_table b in
+                  (ta = j && List.mem tb !used) || (tb = j && List.mem ta !used)
+              | _ -> false)
+            !conj_remaining
+        in
+        let j =
+          match List.find_opt connects !remaining with
           | Some j -> j
-          | None -> List.hd !remaining)
-    in
-    let jplan, jresid = List.nth table_plans j in
-    let right_plan = with_filter jplan jresid in
-    let right_arity = arity j in
-    (* equi pairs between used-set and j *)
-    let eq_pairs, rest =
-      List.partition
-        (fun c ->
-          match c with
-          | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-              let ta = vcol_table a and tb = vcol_table b in
-              (ta = j && List.mem tb !used) || (tb = j && List.mem ta !used)
-          | _ -> false)
-        !conj_remaining
-    in
-    conj_remaining := rest;
-    if eq_pairs = [] then begin
-      (* cross/theta join: take any conjuncts that become evaluable *)
-      placed.(j) <- !current_arity;
-      used := j :: !used;
-      let now, later =
-        List.partition all_placed !conj_remaining
-      in
-      conj_remaining := later;
-      let pred = Expr.conjoin (List.map to_physical now) in
-      current := Plan.Nl_join { outer = !current; inner = right_plan; pred };
-      current_arity := !current_arity + right_arity
-    end
-    else begin
-      let left_keys, right_keys =
-        List.split
-          (List.map
-             (fun c ->
-               match c with
-               | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-                   let ta = vcol_table a in
-                   if ta = j then
-                     (placed.(vcol_table b) + vcol_local b, vcol_local a)
-                   else (placed.(ta) + vcol_local a, vcol_local b)
-               | _ -> assert false)
-             eq_pairs)
-      in
-      placed.(j) <- !current_arity;
-      used := j :: !used;
-      let now, later = List.partition all_placed !conj_remaining in
-      conj_remaining := later;
-      let residual = Expr.conjoin (List.map to_physical now) in
-      current :=
-        Plan.Hash_join
-          {
-            left = !current;
-            right = right_plan;
-            left_key = Array.of_list left_keys;
-            right_key = Array.of_list right_keys;
-            residual;
-          };
-      current_arity := !current_arity + right_arity
-    end;
-    remaining := List.filter (fun i -> i <> j) !remaining
+          | None ->
+              (* no equi-connected table left: prefer one tied to the placed set
+                 by any predicate (the translator's descendant/sibling joins are
+                 range joins), so the nested loop at least filters instead of
+                 producing a cartesian product *)
+              let theta_connects j =
+                List.exists
+                  (fun c ->
+                    let ts = cols_of_tables c in
+                    List.mem j ts
+                    && ts <> [ j ]
+                    && List.for_all (fun t -> t = j || List.mem t !used) ts)
+                  !conj_remaining
+              in
+              (match List.find_opt theta_connects !remaining with
+              | Some j -> j
+              | None -> List.hd !remaining)
+        in
+        let jplan, jresid = List.nth table_plans j in
+        let right_plan = with_filter jplan jresid in
+        let right_arity = arity j in
+        (* equi pairs between used-set and j *)
+        let eq_pairs, rest =
+          List.partition
+            (fun c ->
+              match c with
+              | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
+                  let ta = vcol_table a and tb = vcol_table b in
+                  (ta = j && List.mem tb !used) || (tb = j && List.mem ta !used)
+              | _ -> false)
+            !conj_remaining
+        in
+        conj_remaining := rest;
+        if eq_pairs = [] then begin
+          (* cross/theta join: take any conjuncts that become evaluable *)
+          placed.(j) <- !current_arity;
+          used := j :: !used;
+          let now, later =
+            List.partition all_placed !conj_remaining
+          in
+          conj_remaining := later;
+          let pred = Expr.conjoin (List.map to_physical now) in
+          current := Plan.Nl_join { outer = !current; inner = right_plan; pred };
+          current_arity := !current_arity + right_arity
+        end
+        else begin
+          let left_keys, right_keys =
+            List.split
+              (List.map
+                 (fun c ->
+                   match c with
+                   | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
+                       let ta = vcol_table a in
+                       if ta = j then
+                         (placed.(vcol_table b) + vcol_local b, vcol_local a)
+                       else (placed.(ta) + vcol_local a, vcol_local b)
+                   | _ -> assert false)
+                 eq_pairs)
+          in
+          placed.(j) <- !current_arity;
+          used := j :: !used;
+          let now, later = List.partition all_placed !conj_remaining in
+          conj_remaining := later;
+          let residual = Expr.conjoin (List.map to_physical now) in
+          current :=
+            Plan.Hash_join
+              {
+                left = !current;
+                right = right_plan;
+                left_key = Array.of_list left_keys;
+                right_key = Array.of_list right_keys;
+                residual;
+              };
+          current_arity := !current_arity + right_arity
+        end;
+        remaining := List.filter (fun i -> i <> j) !remaining
   done;
   if !conj_remaining <> [] then
     fail "internal: unplaced conjuncts after join ordering";
@@ -548,7 +623,11 @@ let plan_select ?ctx catalog (q : Sql_ast.select) =
   let const_preds =
     List.filter (fun c -> cols_of_tables c = []) single
   in
-  let joined, placed = plan_joins env table_plans multi in
+  let ctx_idx =
+    Option.bind ctx (fun c ->
+        Option.map (fun e -> e.tbl_idx) (List.find_opt (fun e -> e.table == c) env))
+  in
+  let joined, placed = plan_joins ~ctx_idx env table_plans multi in
   let joined = with_filter joined const_preds in
   (* An unsatisfiable WHERE clause produces zero input rows without touching
      any table: LIMIT 0 never forces its input. Wrapping below the aggregate

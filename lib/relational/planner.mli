@@ -6,7 +6,16 @@
     chosen when conjuncts bind a prefix of its key (equalities, then at most
     one range); joins are ordered greedily so that every join after the first
     is an equi (hash) join whenever the WHERE clause permits; a final Sort is
-    elided when a chosen index already delivers the requested order. *)
+    elided when a chosen index already delivers the requested order.
+
+    One rule plans an index nested-loop join ({!Plan.Index_join}): when the
+    bound relation [?ctx] is in FROM and another table's best constant-only
+    access path is a full scan, but one of its indexes has a key prefix (or
+    the range on the column after it) that [ctx] columns plus constants
+    bind, [ctx] is placed first and that table is probed through the index
+    once per [ctx] row. The key is bound by the same prefix-then-range
+    matching that picks index scans. Statements without [?ctx], and tables
+    with an indexed constant access path, plan as before. *)
 
 exception Plan_error of string
 

@@ -287,7 +287,20 @@ let test_plan_lint () =
        (rules (plan_of "SELECT * FROM emp a, emp b WHERE a.id = b.id")));
   (* a short-circuited contradictory plan is not linted below LIMIT 0 *)
   check bool_t "LIMIT 0 subtree suppressed" true
-    (rules (plan_of "SELECT * FROM emp a, emp b WHERE 1 = 0") = [])
+    (rules (plan_of "SELECT * FROM emp a, emp b WHERE 1 = 0") = []);
+  (* a probe into emp per ctx row re-reads nothing: no rescan, no scan *)
+  let ctx = Reldb.Table.create "ctx" (Reldb.Schema.make [ ("id", V.Tint) ]) in
+  let probe =
+    match Reldb.Sql_parser.parse "SELECT e.name FROM emp e, ctx c WHERE e.id = c.id" with
+    | S.Select sel -> Reldb.Planner.plan_select ~ctx catalog sel
+    | _ -> assert false
+  in
+  (match probe with
+  | P.Project (_, (P.Index_join _ as j)) ->
+      check bool_t "IndexJoin label" true
+        (Astring_contains.contains (P.label j) "IndexJoin emp.emp_pk")
+  | p -> Alcotest.failf "expected an index join, got %s" (P.label p));
+  check bool_t "index join lints clean" true (rules probe = [])
 
 (* ---------------- degenerate count() lint over XPath ----------------- *)
 

@@ -232,6 +232,97 @@ let prop_prepared_equals_inlined =
         findings = []
       end)
 
+(* --- property: a bound relation answers like a catalog table ---------- *)
+
+(* An edge-like table with the indexes the encodings use, random context
+   rows with NULLs and duplicate keys: a statement over the bound [ctx]
+   (planned as an index join) returns the same multiset as the same
+   statement over a catalog copy of the rows (planned as a hash or
+   nested-loop join). *)
+let ctx_join_preds =
+  [
+    "e.id = c.id";
+    "e.id = c.parent";
+    "e.parent = c.id";
+    "e.parent = c.parent AND e.ord > c.ord";
+    "e.ord > c.ord AND e.ord < c.hi";
+    "e.parent = c.id AND e.ord < c.ord";
+  ]
+
+let ctx_cols = [ ("id", V.Tint); ("parent", V.Tint); ("ord", V.Tint); ("hi", V.Tint) ]
+
+let edge_db () =
+  let db = D.create () in
+  List.iter
+    (fun sql -> ignore (D.exec db sql))
+    [
+      "CREATE TABLE edge (id INT, parent INT, ord INT)";
+      "CREATE UNIQUE INDEX edge_id ON edge (id)";
+      "CREATE INDEX edge_parent ON edge (parent, ord)";
+      "CREATE INDEX edge_ord ON edge (ord)";
+    ];
+  db
+
+let arb_ctx_case =
+  let value =
+    QCheck.Gen.(
+      frequency [ (1, return V.Null); (6, map (fun i -> V.Int i) (int_bound 12)) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 30) (pair value value))
+        (list_size (int_range 0 12) (array_size (return 4) value)))
+  in
+  let print (edges, ctx) =
+    Printf.sprintf "edges=[%s] ctx=[%s]"
+      (String.concat "; "
+         (List.mapi
+            (fun i (p, o) -> Printf.sprintf "%d:%s,%s" i (V.to_string p) (V.to_string o))
+            edges))
+      (String.concat "; " (List.map Reldb.Tuple.to_string ctx))
+  in
+  QCheck.make ~print gen
+
+let prop_ctx_equals_catalog =
+  QCheck.Test.make ~name:"bound ctx relation == catalog copy" ~count:200
+    arb_ctx_case (fun (edges, ctx_rows) ->
+      let db = edge_db () in
+      ignore (D.exec db "CREATE TABLE cx (id INT, parent INT, ord INT, hi INT)");
+      ignore
+        (D.insert_many db "edge"
+           (List.mapi (fun i (p, o) -> [| V.Int i; p; o |]) edges));
+      ignore (D.insert_many db "cx" ctx_rows);
+      let sorted rows = List.sort compare rows in
+      List.for_all
+        (fun pred ->
+          let sql from =
+            Printf.sprintf "SELECT e.id, e.parent, e.ord, c.id, c.parent, c.ord, \
+                            c.hi FROM edge e, %s c WHERE %s" from pred
+          in
+          let bound = D.query_ctx db ~cols:ctx_cols ~rows:ctx_rows (sql "ctx") in
+          let copy = D.query db (sql "cx") in
+          sorted bound = sorted copy
+          || QCheck.Test.fail_reportf "%s: %d rows over ctx, %d over the copy"
+               pred (List.length bound) (List.length copy))
+        ctx_join_preds)
+
+(* each of those statements is planned as an index join *)
+let test_ctx_preds_probe () =
+  let db = edge_db () in
+  let ctx = Reldb.Table.create "ctx" (Reldb.Schema.make ctx_cols) in
+  List.iter
+    (fun pred ->
+      let sql = "SELECT e.id FROM edge e, ctx c WHERE " ^ pred in
+      match Reldb.Sql_parser.parse sql with
+      | Reldb.Sql_ast.Select q ->
+          let plan = Reldb.Planner.plan_select ~ctx (D.catalog db) q in
+          let text = Format.asprintf "%a" Reldb.Plan.pp plan in
+          if not (Astring_contains.contains text "IndexJoin edge.") then
+            Alcotest.failf "%s planned without a probe:\n%s" pred text
+      | _ -> Alcotest.fail "not a SELECT")
+    ctx_join_preds
+
 (* --- bulk writes -------------------------------------------------------- *)
 
 let test_insert_many () =
@@ -327,6 +418,8 @@ let tests =
         test_cache_restore_and_rollback;
       Alcotest.test_case "cache LRU cap" `Quick test_cache_lru_cap;
       QCheck_alcotest.to_alcotest prop_prepared_equals_inlined;
+      QCheck_alcotest.to_alcotest prop_ctx_equals_catalog;
+      Alcotest.test_case "ctx joins probe an index" `Quick test_ctx_preds_probe;
       Alcotest.test_case "insert_many" `Quick test_insert_many;
       Alcotest.test_case "multi-row INSERT" `Quick test_multi_row_insert;
       Alcotest.test_case "exec_script transactions" `Quick

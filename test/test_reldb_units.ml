@@ -186,6 +186,69 @@ let test_hash_join_residual () =
     (Reldb.Exec.row_count
        (join (Some (Reldb.Expr.Cmp (Reldb.Expr.Eq, Reldb.Expr.Col 1, Reldb.Expr.Col 3)))))
 
+(* Index nested-loop join built by hand: one probe per outer row, a NULL
+   key value matches nothing, Incl/Excl bounds on the column after the
+   prefix, and a range probe with an empty prefix. *)
+let test_index_join_operator () =
+  let module P = Reldb.Plan in
+  let module E = Reldb.Expr in
+  let pair_table name rows =
+    let t = Reldb.Table.create name (S.make [ ("p", V.Tint); ("o", V.Tint) ]) in
+    List.iter (fun (p, o) -> ignore (Reldb.Table.insert t [| p; o |])) rows;
+    t
+  in
+  let i n = V.Int n in
+  let inner =
+    pair_table "ij"
+      [ (i 1, i 1); (i 1, i 2); (i 1, i 3); (i 2, i 1); (V.Null, i 2); (i 1, V.Null) ]
+  in
+  let by_po =
+    Reldb.Table.create_index inner ~name:"ij_po" ~cols:[| 0; 1 |] ~unique:false
+  in
+  let by_o = Reldb.Table.create_index inner ~name:"ij_o" ~cols:[| 1 |] ~unique:false in
+  let outer = pair_table "ijo" [ (i 1, i 1); (V.Null, i 1); (i 2, V.Null) ] in
+  let join ?(prefix = [| E.Col 0 |]) ?(lo = P.Unbounded) ?(hi = P.Unbounded)
+      ?pred index =
+    P.Index_join
+      { outer = P.Seq_scan outer; table = inner; index; prefix; lo; hi; pred }
+  in
+  let rows plan = Reldb.Exec.row_count plan in
+  (* inner.p = outer.p: (1,_) x 4 and (2,1) x 1; the NULL outer key and
+     the NULL stored key never meet *)
+  Reldb.Table.reset_counters inner;
+  check int_t "prefix only" 5 (rows (join by_po));
+  check int_t "reads exactly the probed rows" 5 (Reldb.Table.rows_read inner);
+  (* inner.o > outer.o: NULL bound matches nothing *)
+  check int_t "Excl lower bound" 2 (rows (join ~lo:(P.Excl (E.Col 1)) by_po));
+  check int_t "Incl lower bound" 3 (rows (join ~lo:(P.Incl (E.Col 1)) by_po));
+  (* inner.o <= outer.o: the stored (1, NULL) sorts first and must not
+     match *)
+  check int_t "Incl upper bound skips NULL" 1
+    (rows (join ~hi:(P.Incl (E.Col 1)) by_po));
+  check int_t "Excl upper bound skips NULL" 0
+    (rows (join ~hi:(P.Excl (E.Col 1)) by_po));
+  (* empty prefix: a range on the index's first column *)
+  check int_t "empty prefix, lower bound" 6
+    (rows (join ~prefix:[||] ~lo:(P.Excl (E.Col 1)) by_o));
+  check int_t "empty prefix, upper bound" 0
+    (rows (join ~prefix:[||] ~hi:(P.Excl (E.Col 1)) by_o));
+  (* outer.o < inner.o < outer.o + 2: o = 2, twice for each outer o = 1 *)
+  check int_t "empty prefix, both bounds" 4
+    (rows
+       (join ~prefix:[||] ~lo:(P.Excl (E.Col 1))
+          ~hi:(P.Excl (E.Arith (E.Add, E.Col 1, E.Const (i 2))))
+          by_o));
+  (* the residual predicate sees outer then inner columns *)
+  check int_t "residual predicate" 1
+    (rows (join ~pred:(E.Cmp (E.Eq, E.Col 1, E.Col 3)) by_po));
+  let plan = join by_po in
+  check bool_t "label" true
+    (Astring_contains.contains (P.label plan) "IndexJoin ij.ij_po");
+  let out, prof = Reldb.Exec.run_profiled plan in
+  check int_t "profiled rows" 5 (List.length out);
+  check int_t "one loop per outer row" 3 prof.Reldb.Exec.prof_loops;
+  check int_t "rows reported" 5 prof.Reldb.Exec.prof_rows
+
 let test_sort_stability () =
   (* equal keys keep input order (stable sort) *)
   let t = mk_table "ss" [ (1, "first"); (1, "second"); (0, "zero"); (1, "third") ] in
@@ -322,6 +385,7 @@ let tests =
       Alcotest.test_case "project expressions" `Quick test_project_expressions;
       Alcotest.test_case "union-all operator" `Quick test_union_all_operator;
       Alcotest.test_case "hash join residual" `Quick test_hash_join_residual;
+      Alcotest.test_case "index join operator" `Quick test_index_join_operator;
       Alcotest.test_case "sort stability" `Quick test_sort_stability;
       Alcotest.test_case "string aggregates" `Quick test_string_aggregates;
       Alcotest.test_case "access-path choice" `Quick test_access_path_choice;

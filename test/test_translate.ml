@@ -262,6 +262,58 @@ let test_context_query_keeps_other_plans () =
         (hits () - h0))
     read_encodings
 
+(* A step bound to many context nodes probes the edge table's indexes
+   (an index nested-loop join) instead of scanning it: rows read follow the
+   answer, not the table. Scale 4, where a scan reads ~9,000 rows. *)
+let scale4_stores =
+  lazy
+    (let doc = O.Workload.dataset ~scale:4 in
+     let db = Reldb.Db.create () in
+     ( O.Doc_index.build doc,
+       List.map (fun enc -> (enc, O.Api.Store.create db ~name:"s4" enc doc)) read_encodings ))
+
+let rows_read_by store f =
+  let db = O.Api.Store.db store in
+  Reldb.Db.reset_counters db;
+  let r = f () in
+  (r, Reldb.Db.rows_read db)
+
+let test_wildcard_step_probes () =
+  let idx, stores = Lazy.force scale4_stores in
+  let xp = "/site/open_auctions/open_auction/*" in
+  let expected = O.Dom_eval.eval idx (O.Xpath_parser.parse xp) in
+  let contexts =
+    List.length (O.Dom_eval.eval idx (O.Xpath_parser.parse "/site/open_auctions/open_auction"))
+  in
+  List.iter
+    (fun (enc, store) ->
+      let ids, read = rows_read_by store (fun () -> O.Api.Store.query_ids store xp) in
+      check (Alcotest.list int_t) (O.Encoding.name enc ^ " ids") expected ids;
+      if read > 2 * (List.length ids + contexts) then
+        Alcotest.failf "%s: %s read %d rows for %d results from %d contexts"
+          (O.Encoding.name enc) xp read (List.length ids) contexts)
+    stores
+
+(* LOCAL reconstruction fetches one level per statement; each level probes
+   the (parent, l_order) index, so it reads what GLOBAL's range reads *)
+let test_local_serialize_probes () =
+  let idx, stores = Lazy.force scale4_stores in
+  let target = O.Dom_eval.eval idx (O.Xpath_parser.parse O.Workload.q8_target) in
+  check bool_t "Q8 target exists" true (target <> []);
+  let serialize enc =
+    let store = List.assoc enc stores in
+    List.fold_left
+      (fun (texts, total) id ->
+        let text, read = rows_read_by store (fun () -> O.Api.Store.serialize store ~id) in
+        (text :: texts, total + read))
+      ([], 0) target
+  in
+  let g_text, g_read = serialize O.Encoding.Global in
+  let l_text, l_read = serialize O.Encoding.Local in
+  check (Alcotest.list Alcotest.string) "same serialization" g_text l_text;
+  if l_read > 2 * g_read then
+    Alcotest.failf "LOCAL serialize read %d rows, GLOBAL %d" l_read g_read
+
 (* randomized: random documents x random paths, all encodings *)
 let prop_oracle_equivalence =
   let gen =
@@ -308,5 +360,9 @@ let tests =
         test_sql_log_is_history_free;
       Alcotest.test_case "context query keeps other plans" `Quick
         test_context_query_keeps_other_plans;
+      Alcotest.test_case "wildcard step probes, scale 4" `Slow
+        test_wildcard_step_probes;
+      Alcotest.test_case "LOCAL serialize probes, scale 4" `Slow
+        test_local_serialize_probes;
       QCheck_alcotest.to_alcotest prop_oracle_equivalence;
     ] )
