@@ -11,8 +11,6 @@ type result = {
   sql_log : string list;
 }
 
-exception Unsupported of string
-
 type state = {
   db : Reldb.Db.t;
   enc : Encoding.t;
@@ -169,58 +167,6 @@ let test_passes axis (test : A.node_test) (r : Node_row.t) =
 
 (* ---- LOCAL middle-tier machinery --------------------------------- *)
 
-(* Fetch the whole edge table and compute document order: the operation the
-   LOCAL encoding cannot push into SQL. Returns (rank, subtree_end_rank,
-   ancestors) per id, plus rows in document order. *)
-type local_world = {
-  w_rows : Node_row.t array;  (* document order, attrs included *)
-  w_rank : (int, int) Hashtbl.t;  (* id -> doc-order rank *)
-  w_end : (int, int) Hashtbl.t;  (* id -> rank of last record in subtree *)
-  w_anc : (int, int list) Hashtbl.t;  (* id -> strict ancestors *)
-}
-
-let local_world st =
-  let all =
-    plain_rows st
-      (Printf.sprintf "SELECT %s FROM %s e" (Node_row.select_list st.enc "e")
-         st.tname)
-  in
-  let kids : (int, Node_row.t list ref) Hashtbl.t = Hashtbl.create 256 in
-  let root = ref None in
-  List.iter
-    (fun (r : Node_row.t) ->
-      match r.Node_row.parent with
-      | None -> root := Some r
-      | Some p -> (
-          match Hashtbl.find_opt kids p with
-          | Some cell -> cell := r :: !cell
-          | None -> Hashtbl.add kids p (ref [ r ])))
-    all;
-  let n = List.length all in
-  let w_rows = Array.make n (List.hd all) in
-  let w_rank = Hashtbl.create n
-  and w_end = Hashtbl.create n
-  and w_anc = Hashtbl.create n in
-  let counter = ref 0 in
-  let rec go ancs (r : Node_row.t) =
-    let rank = !counter in
-    incr counter;
-    w_rows.(rank) <- r;
-    Hashtbl.replace w_rank r.Node_row.id rank;
-    Hashtbl.replace w_anc r.Node_row.id ancs;
-    let children =
-      match Hashtbl.find_opt kids r.Node_row.id with
-      | None -> []
-      | Some cell -> List.sort Node_row.compare_ord !cell
-    in
-    List.iter (go (r.Node_row.id :: ancs)) children;
-    Hashtbl.replace w_end r.Node_row.id (!counter - 1)
-  in
-  (match !root with
-  | Some r -> go [] r
-  | None -> raise (Unsupported "document has no root row"));
-  { w_rows; w_rank; w_end; w_anc }
-
 (* Fetch rows by id through the unique id index: one row read per id,
    whether the ids are inlined or bound as the context relation. *)
 let fetch_by_ids st ids =
@@ -273,44 +219,38 @@ let chain_keys known =
 
 let local_order_keys st rows = chain_keys (local_chains st rows)
 
-(* LOCAL descendants via BFS, threading sibling-position keys for ordering.
-   Returns (ctx id, row, key-relative-to-ctx). *)
+(* LOCAL descendants via BFS, one statement per level. Returns
+   (ctx id, row). *)
 let local_descendants st ctx_rows =
   let result = ref [] in
-  (* frontier: (origin ctx id, row, key) *)
   let frontier =
-    ref (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r, [])) ctx_rows)
+    ref (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) ctx_rows)
   in
   while !frontier <> [] do
     (* fetch children of all frontier rows in one statement *)
     let distinct =
-      List.sort_uniq compare
-        (List.map (fun (_, r, _) -> r.Node_row.id) !frontier)
+      List.sort_uniq compare (List.map (fun (_, r) -> r.Node_row.id) !frontier)
     in
     let children =
       select_ctx st Tagged (Ids distinct) (fun c ~e ->
           Printf.sprintf "%s.parent = %s AND %s.kind <> 2" e c.Axis_sql.id e)
     in
-    let by_parent : (int, (int * Node_row.t) list) Hashtbl.t = Hashtbl.create 64 in
+    let by_parent : (int, Node_row.t list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun (p, row) ->
         Hashtbl.replace by_parent p
-          ((p, row) :: (try Hashtbl.find by_parent p with Not_found -> [])))
+          (row :: Option.value (Hashtbl.find_opt by_parent p) ~default:[]))
       children;
     let next = ref [] in
     List.iter
-      (fun (origin, (r : Node_row.t), key) ->
+      (fun (origin, (r : Node_row.t)) ->
         match Hashtbl.find_opt by_parent r.Node_row.id with
         | None -> ()
         | Some kids ->
             List.iter
-              (fun (_, (kid : Node_row.t)) ->
-                let o =
-                  match kid.Node_row.ord with Node_row.Ol o -> o | _ -> 0
-                in
-                let entry = (origin, kid, key @ [ o ]) in
-                result := entry :: !result;
-                next := entry :: !next)
+              (fun kid ->
+                result := (origin, kid) :: !result;
+                next := (origin, kid) :: !next)
               kids)
       !frontier;
     frontier := !next
@@ -404,50 +344,44 @@ let ancestor_candidates st ctx_rows test =
       in
       (pairs, None)
 
-(* LOCAL [following]/[preceding]: materialize document order in the middle
-   tier. *)
+let rec is_prefix p k =
+  match (p, k) with
+  | [], _ -> true
+  | x :: p, y :: k -> x = y && is_prefix p k
+  | _ :: _, [] -> false
+
+(* LOCAL [following]/[preceding]: the step's candidates by node test (the
+   tag index for names), ordered against each context by chain keys. A
+   candidate follows the context when its key is greater and not an
+   extension of the context's (a descendant); it precedes when its key is
+   smaller and not a prefix of the context's (an ancestor). *)
 let local_doc_order_candidates st ctx_rows axis test =
-  let w = local_world st in
-  let pairs =
-    List.concat_map
-      (fun (c : Node_row.t) ->
-        match Hashtbl.find_opt w.w_rank c.Node_row.id with
-        | None -> []
-        | Some rank ->
-            let stop = Hashtbl.find w.w_end c.Node_row.id in
-            let ancs =
-              match Hashtbl.find_opt w.w_anc c.Node_row.id with
-              | Some a -> a
-              | None -> []
-            in
-            let out = ref [] in
-            (match axis with
-            | A.Following ->
-                for j = Array.length w.w_rows - 1 downto stop + 1 do
-                  let r = w.w_rows.(j) in
-                  if r.Node_row.kind <> Doc_index.Attr && test_passes axis test r
-                  then out := (c.Node_row.id, r) :: !out
-                done
-            | _ ->
-                (* preceding: before in doc order, not an ancestor *)
-                for j = 0 to rank - 1 do
-                  let r = w.w_rows.(j) in
-                  if
-                    r.Node_row.kind <> Doc_index.Attr
-                    && (not (List.mem r.Node_row.id ancs))
-                    && test_passes axis test r
-                  then out := (c.Node_row.id, r) :: !out
-                done;
-                out := List.rev !out);
-            !out)
-      ctx_rows
-  in
-  let keyfn (r : Node_row.t) =
-    match Hashtbl.find_opt w.w_rank r.Node_row.id with
-    | Some rank -> [ rank ]
-    | None -> []
-  in
-  (pairs, Some keyfn)
+  if ctx_rows = [] then ([], None)
+  else
+    let cands =
+      plain_rows st
+        (Printf.sprintf "SELECT %s FROM %s e WHERE %s"
+           (Node_row.select_list st.enc "e")
+           st.tname
+           (Axis_sql.test_cond ~e:"e" axis test))
+    in
+    let key = local_order_keys st (ctx_rows @ cands) in
+    let keyed = List.map (fun r -> (key r, r)) cands in
+    let keep =
+      match axis with
+      | A.Following -> fun kc kr -> kr > kc && not (is_prefix kc kr)
+      | _ -> fun kc kr -> kr < kc && not (is_prefix kr kc)
+    in
+    let pairs =
+      List.concat_map
+        (fun (c : Node_row.t) ->
+          let kc = key c in
+          List.filter_map
+            (fun (kr, r) -> if keep kc kr then Some (c.Node_row.id, r) else None)
+            keyed)
+        ctx_rows
+    in
+    (pairs, Some key)
 
 (* Candidates for one step from a deduplicated context row list. Returns
    (ctx id, row) pairs plus an optional doc-order key function used to sort
@@ -495,10 +429,8 @@ let rec step_candidates st ctx_rows (step : A.step) :
           | A.Descendant ->
               (* LOCAL *)
               let pairs =
-                List.filter_map
-                  (fun (origin, row, _key) ->
-                    if test_passes axis step.A.test row then Some (origin, row)
-                    else None)
+                List.filter
+                  (fun (_, row) -> test_passes axis step.A.test row)
                   (local_descendants st ctx_rows)
               in
               (* positional predicates need each group in document order;

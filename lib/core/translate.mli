@@ -14,9 +14,13 @@
       for LOCAL sibling axes. {!Axis_sql} holds the mapping, shared with
       the single-statement translator;
     - document-order axes ([following], [preceding]) and document-order
-      output sorting are closed-form for GLOBAL and DEWEY but require the
-      middle tier to materialize parent chains (one SQL statement per level)
-      for LOCAL — the recursion cost the paper attributes to local order;
+      output sorting are closed-form for GLOBAL and DEWEY. LOCAL has one
+      document-order mechanism, parent-chain keys: the middle tier fetches
+      each row's ancestors (one SQL statement per level) and keys the row
+      by its root path of sibling ranks. The [ancestor] step, [following]
+      and [preceding] (candidates by node test, kept by key order and
+      prefix), descendant ordering and every final sort use those keys —
+      the recursion cost the paper attributes to local order;
     - positional predicates are ranked in the middle tier per context node
       over the axis-ordered candidates for every encoding (sibling positions
       stored by LOCAL/DEWEY are sibling ranks, not ranks among nodes passing
@@ -35,8 +39,6 @@ type result = {
   statements : int;  (** SQL statements issued *)
   sql_log : string list;  (** the statements, in order *)
 }
-
-exception Unsupported of string
 
 val eval : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.union -> result
 (** Evaluate a union of absolute or relative (root-context) paths. The

@@ -121,8 +121,8 @@ let agg_name = function
   | Max _ -> "MAX"
   | Avg _ -> "AVG"
 
-let bound_str = function
-  | Btree.Unbounded -> "-inf"
+let bound_str ~unbounded = function
+  | Btree.Unbounded -> unbounded
   | Btree.Incl k -> "[" ^ Tuple.to_string k
   | Btree.Excl k -> "(" ^ Tuple.to_string k
 
@@ -130,7 +130,9 @@ let label = function
   | Seq_scan t -> "SeqScan " ^ Table.name t
   | Index_scan { table; index; lo; hi; reverse } ->
       Printf.sprintf "IndexScan %s.%s %s .. %s%s" (Table.name table)
-        index.Table.idx_name (bound_str lo) (bound_str hi)
+        index.Table.idx_name
+        (bound_str ~unbounded:"-inf" lo)
+        (bound_str ~unbounded:"+inf" hi)
         (if reverse then " DESC" else "")
   | Filter (e, _) -> Format.asprintf "Filter %a" Expr.pp e
   | Project (cols, _) ->

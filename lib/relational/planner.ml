@@ -250,14 +250,28 @@ let choose_access table conjuncts =
       in
       let value e = Expr.eval e [||] in
       let key = Array.map value m.prefix in
-      let bound = function
-        | Plan.Unbounded ->
-            if Array.length key = 0 then Btree.Unbounded else Btree.Incl key
-        | Plan.Incl e -> Btree.Incl (Array.append key [| value e |])
-        | Plan.Excl e -> Btree.Excl (Array.append key [| value e |])
+      let ext v = Array.append key [| v |] in
+      let whole = if Array.length key = 0 then Btree.Unbounded else Btree.Incl key in
+      (* as in [Exec.probe_range]: a bounded key column skips the stored
+         NULLs, which sort first *)
+      let lo_open =
+        match m.hi with
+        | Plan.Unbounded -> whole
+        | Plan.Incl _ | Plan.Excl _ -> Btree.Excl (ext Value.Null)
+      in
+      let bound ~open_ = function
+        | Plan.Unbounded -> open_
+        | Plan.Incl e -> Btree.Incl (ext (value e))
+        | Plan.Excl e -> Btree.Excl (ext (value e))
       in
       ( Plan.Index_scan
-          { table; index = idx; lo = bound m.lo; hi = bound m.hi; reverse = false },
+          {
+            table;
+            index = idx;
+            lo = bound ~open_:lo_open m.lo;
+            hi = bound ~open_:whole m.hi;
+            reverse = false;
+          },
         residual )
 
 let with_filter plan = function

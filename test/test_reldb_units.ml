@@ -305,6 +305,40 @@ let test_access_path_choice () =
     (fun s -> check (Alcotest.list int_t) s (naive s) (via_planner s))
     [ "a = 3"; "a = 3 AND b > 10"; "a = 3 AND b <= 20"; "b = 10"; "a >= 4" ]
 
+(* An index scan bounded only above starts after the stored NULLs, which
+   sort first: [b < 5] never holds for a NULL [b], with or without an
+   equality prefix before [b] in the key. *)
+let test_upper_bound_skips_nulls () =
+  let ints rows =
+    List.map (function [| V.Int a |] -> a | _ -> Alcotest.fail "row shape") rows
+  in
+  List.iter
+    (fun (cols, index, rows, where, scan) ->
+      let db = Reldb.Db.create () in
+      let e sql = ignore (Reldb.Db.exec db sql) in
+      e (Printf.sprintf "CREATE TABLE t (%s)" cols);
+      e (Printf.sprintf "CREATE INDEX t_b ON t (%s)" index);
+      List.iter (fun r -> e ("INSERT INTO t VALUES " ^ r)) rows;
+      let select w = ints (Reldb.Db.query db ("SELECT a FROM t WHERE " ^ w)) in
+      check (Alcotest.list int_t) where [ 1 ] (select where);
+      e ("DELETE FROM t WHERE " ^ where);
+      check (Alcotest.list int_t) (where ^ " deletes") [ 2 ] (select "a > 0");
+      let plan = Reldb.Db.explain db ("SELECT a FROM t WHERE " ^ where) in
+      check bool_t (where ^ " starts after NULL: " ^ plan) true
+        (Astring_contains.contains plan scan))
+    [
+      ("a INT, b INT", "b", [ "(1, 3)"; "(2, NULL)" ], "b < 5", "IndexScan t.t_b (NULL .. (5");
+      ( "a INT, k INT, b INT", "k, b", [ "(1, 7, 3)"; "(2, 7, NULL)" ], "k = 7 AND b < 5",
+        "IndexScan t.t_b (7|NULL .. (7|5" );
+    ];
+  let db = Reldb.Db.create () in
+  ignore (Reldb.Db.exec db "CREATE TABLE t (a INT, b INT)");
+  ignore (Reldb.Db.exec db "CREATE INDEX t_b ON t (b)");
+  check bool_t "lower bound only: upper end +inf" true
+    (Astring_contains.contains
+       (Reldb.Db.explain db "SELECT a FROM t WHERE b > 1")
+       "IndexScan t.t_b (1 .. +inf")
+
 let test_table_rollback_on_unique () =
   let t = Reldb.Table.create "u" (S.make [ ("k", V.Tint) ]) in
   ignore (Reldb.Table.create_index t ~name:"u_k" ~cols:[| 0 |] ~unique:true);
@@ -389,6 +423,8 @@ let tests =
       Alcotest.test_case "sort stability" `Quick test_sort_stability;
       Alcotest.test_case "string aggregates" `Quick test_string_aggregates;
       Alcotest.test_case "access-path choice" `Quick test_access_path_choice;
+      Alcotest.test_case "upper-bound index scan skips NULLs" `Quick
+        test_upper_bound_skips_nulls;
       Alcotest.test_case "constraint rollback" `Quick test_table_rollback_on_unique;
       Alcotest.test_case "truncate" `Quick test_truncate;
       Alcotest.test_case "result rendering" `Quick test_render;

@@ -75,6 +75,11 @@ let test_axis_zoo () =
       "//personref/ancestor-or-self::*[2]";
       "//increase/ancestor::site";
       "/site/open_auctions/open_auction/bidder[position() > 1 and position() < 4]";
+      "/site/people/person[2]/@id/following::*[1]";
+      "/site/people/person[3]/@id/preceding::*[1]";
+      "/site/regions/africa/item[1]/following::text()[1]";
+      "/site/open_auctions/open_auction[2]/preceding::node()[last()]";
+      "//bidder[2]/following::bidder[1]";
     ]
 
 let test_comments_and_pis () =
@@ -294,6 +299,21 @@ let test_wildcard_step_probes () =
           (O.Encoding.name enc) xp read (List.length ids) contexts)
     stores
 
+(* LOCAL [following] fetches its candidates by tag and orders them by
+   parent-chain keys: it reads the candidates and their ancestors, not the
+   whole edge table *)
+let test_local_following_reads_candidates () =
+  let idx, stores = Lazy.force scale4_stores in
+  let q7 = "/site/regions/africa/item[1]/following::item" in
+  let store = List.assoc O.Encoding.Local stores in
+  let ids, read = rows_read_by store (fun () -> O.Api.Store.query_ids store q7) in
+  check (Alcotest.list int_t) "LOCAL Q7 ids"
+    (O.Dom_eval.eval idx (O.Xpath_parser.parse q7))
+    ids;
+  let table = O.Doc_index.length idx in
+  if read >= table then
+    Alcotest.failf "LOCAL Q7 read %d rows; the edge table holds %d" read table
+
 (* LOCAL reconstruction fetches one level per statement; each level probes
    the (parent, l_order) index, so it reads what GLOBAL's range reads *)
 let test_local_serialize_probes () =
@@ -362,6 +382,8 @@ let tests =
         test_context_query_keeps_other_plans;
       Alcotest.test_case "wildcard step probes, scale 4" `Slow
         test_wildcard_step_probes;
+      Alcotest.test_case "LOCAL following reads candidates, scale 4" `Slow
+        test_local_following_reads_candidates;
       Alcotest.test_case "LOCAL serialize probes, scale 4" `Slow
         test_local_serialize_probes;
       QCheck_alcotest.to_alcotest prop_oracle_equivalence;
