@@ -134,6 +134,18 @@ let () =
          (informational)\n"
         (O.Encoding.name enc) q8 wildcard wild)
     O.Encoding.[ Global; Local; Dewey_enc ];
+  (* informational: a DEWEY front insert rewrites each shifted sibling's
+     subtree with one statement, so statements track siblings, not rows *)
+  let dstore = O.Api.Store.create (Reldb.Db.create ()) ~name:"d" O.Encoding.Dewey_enc doc in
+  let st =
+    O.Api.Store.insert_subtree dstore
+      ~parent:(List.hd (O.Api.Store.query_ids dstore O.Workload.container_path))
+      ~pos:1 O.Workload.small_fragment
+  in
+  Printf.printf
+    "bench-smoke: dewey front insert under %s: %d statements, %d rows renumbered \
+     (informational)\n"
+    O.Workload.container_path st.O.Update.statements st.O.Update.rows_renumbered;
   (* informational: the same query against a durable (WAL-backed) database.
      Reads are never logged, so this should track the in-memory figure; it
      is printed for the record but not guarded. *)

@@ -13,8 +13,8 @@
     - {b LOCAL} shifts only the following siblings' [l_order]
       (O(fanout));
     - {b DEWEY} shifts the following siblings {e and rewrites the stored
-      path of every node in their subtrees} (the prefix of those paths
-      changed) — more than LOCAL, much less than GLOBAL for typical shapes.
+      path of every node in their subtrees}, one range UPDATE per sibling
+      splicing the new prefix — more than LOCAL, much less than GLOBAL.
 
     Deletion removes the subtree's rows; only LOCAL renumbers (to keep
     sibling ranks dense). Gaps left in GLOBAL/DEWEY order values are

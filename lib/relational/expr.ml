@@ -130,6 +130,7 @@ let rec eval e tuple =
   | Concat (a, b) -> begin
       match (eval a tuple, eval b tuple) with
       | Value.Null, _ | _, Value.Null -> Value.Null
+      | Value.Bytes x, Value.Bytes y -> Value.Bytes (x ^ y)
       | x, y -> Value.Str (Value.to_string x ^ Value.to_string y)
     end
   | Is_null a -> bool_v (Value.is_null (eval a tuple))
@@ -157,12 +158,16 @@ and eval_func f args =
   | Abs, [ Float f ] -> Float (Float.abs f)
   | Lower, [ Str s ] -> Str (String.lowercase_ascii s)
   | Upper, [ Str s ] -> Str (String.uppercase_ascii s)
-  | Substr, [ Str s; Int start; Int len ] ->
+  | Substr, ((Str s | Bytes s) as v) :: Int start :: (([] | [ Int _ ]) as len) ->
+      (* 1-based start, clamped to 1; without a length, to the end. The
+         result keeps the argument's type: BYTES in, BYTES out. *)
       let n = String.length s in
-      let start = max 1 start in
-      let from = start - 1 in
-      if from >= n || len <= 0 then Str ""
-      else Str (String.sub s from (min len (n - from)))
+      let from = max 1 start - 1 in
+      let len = match len with [ Int l ] -> l | _ -> n in
+      let sub =
+        if from >= n || len <= 0 then "" else String.sub s from (min len (n - from))
+      in
+      (match v with Bytes _ -> Bytes sub | _ -> Str sub)
   | (Length | Abs | Lower | Upper | Substr), _ ->
       err "bad arguments to function"
 

@@ -7,6 +7,8 @@
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 type arith = Add | Sub | Mul | Div | Mod
 type func = Length | Abs | Lower | Upper | Substr
+(** [Substr] takes [(x, start)] or [(x, start, len)] with a 1-based [start]
+    and accepts TEXT or BYTES; its result has the type of [x]. *)
 
 type t =
   | Const of Value.t
@@ -23,6 +25,8 @@ type t =
   | Arith of arith * t * t
   | Neg of t
   | Concat of t * t
+      (** [||]: BYTES when both operands are BYTES, else TEXT; NULL if
+          either operand is NULL *)
   | Is_null of t
   | Is_not_null of t
   | Like of t * string  (** SQL LIKE with [%] and [_] wildcards *)

@@ -314,6 +314,42 @@ let test_local_following_reads_candidates () =
   if read >= table then
     Alcotest.failf "LOCAL Q7 read %d rows; the edge table holds %d" read table
 
+(* Without a positional predicate, [following]/[preceding] from many
+   contexts is the axis from one of them: the context whose subtree ends
+   first, or the one that starts last. So [//bidder/following::bidder]
+   costs about what the same axis from that one bidder costs, in rows read
+   and in words allocated (the middle tier builds no per-context pairs). *)
+let test_doc_order_axis_from_dominant_context () =
+  let idx, stores = Lazy.force scale4_stores in
+  let bidders = List.length (O.Dom_eval.eval idx (O.Xpath_parser.parse "//bidder")) in
+  List.iter
+    (fun (xp, from_one) ->
+      let expected = O.Dom_eval.eval idx (O.Xpath_parser.parse xp) in
+      check (Alcotest.list int_t) (from_one ^ " = " ^ xp) expected
+        (O.Dom_eval.eval idx (O.Xpath_parser.parse from_one));
+      List.iter
+        (fun (enc, store) ->
+          let cost q =
+            let w0 = Gc.minor_words () in
+            let ids, read = rows_read_by store (fun () -> O.Api.Store.query_ids store q) in
+            (ids, read, Gc.minor_words () -. w0)
+          in
+          let ids, read, words = cost xp in
+          let _, read1, words1 = cost from_one in
+          let name = O.Encoding.name enc in
+          check (Alcotest.list int_t) (name ^ " " ^ xp) expected ids;
+          if read > read1 + bidders then
+            Alcotest.failf "%s: %s read %d rows, %d from one context" name xp read read1;
+          if words > 3. *. words1 then
+            Alcotest.failf "%s: %s allocated %.0f words, %.0f from one context" name xp
+              words words1)
+        stores)
+    [
+      ("//bidder/following::bidder", "/site/open_auctions/open_auction[1]/bidder[1]/following::bidder");
+      ( "//bidder/preceding::bidder",
+        "/site/open_auctions/open_auction[last()]/bidder[last()]/preceding::bidder" );
+    ]
+
 (* LOCAL reconstruction fetches one level per statement; each level probes
    the (parent, l_order) index, so it reads what GLOBAL's range reads *)
 let test_local_serialize_probes () =
@@ -384,6 +420,8 @@ let tests =
         test_wildcard_step_probes;
       Alcotest.test_case "LOCAL following reads candidates, scale 4" `Slow
         test_local_following_reads_candidates;
+      Alcotest.test_case "following/preceding from the dominant context, scale 4" `Slow
+        test_doc_order_axis_from_dominant_context;
       Alcotest.test_case "LOCAL serialize probes, scale 4" `Slow
         test_local_serialize_probes;
       QCheck_alcotest.to_alcotest prop_oracle_equivalence;

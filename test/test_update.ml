@@ -464,6 +464,106 @@ let test_atomic_updates () =
     stores;
   assert_integrity stores
 
+(* DEWEY moves each shifted sibling's subtree with one range UPDATE: a front
+   insert under a container with F children issues F statements more than
+   an append, and renumbers the rows the paper counts (E4: 500 items of 6
+   rows). *)
+let test_dewey_one_rewrite_per_sibling () =
+  let insert pos =
+    let doc = Xmllib.Generator.flat ~tag:"item" ~count:500 () in
+    let db = Reldb.Db.create () in
+    let store = O.Api.Store.create db ~name:"u" O.Encoding.Dewey_enc doc in
+    let p = O.Workload.insertion_pos pos ~sibling_count:500 in
+    let st =
+      O.Api.Store.insert_subtree store ~parent:(O.Api.Store.root_id store) ~pos:p
+        O.Workload.small_fragment
+    in
+    check bool_t "equal to the DOM edit" true
+      (T.equal_document
+         (dom_insert_at_root doc p O.Workload.small_fragment)
+         (O.Api.Store.document store));
+    assert_integrity [ (O.Encoding.Dewey_enc, store) ];
+    st
+  in
+  let append = insert O.Workload.Back in
+  check int_t "append renumbers" 0 append.U.rows_renumbered;
+  List.iter
+    (fun (pos, shifted, renumbered) ->
+      let st = insert pos in
+      check int_t "path rewrites" shifted (st.U.statements - append.U.statements);
+      check int_t "rows renumbered" renumbered st.U.rows_renumbered)
+    [ (O.Workload.Front, 500, 3000); (O.Workload.Middle, 250, 1500) ]
+
+(* the elements of a tree in document order *)
+let rec elements (e : T.element) =
+  e :: List.concat_map (function T.Element c -> elements c | _ -> []) e.T.children
+
+(* DOM-side reference edit: insert [node] as the [pos]-th child of the
+   [k]-th element in document order *)
+let dom_insert_under doc k pos node =
+  let seen = ref 0 in
+  let rec go (e : T.element) =
+    incr seen;
+    let here = !seen = k in
+    let children =
+      List.map (function T.Element c -> T.Element (go c) | n -> n) e.T.children
+    in
+    let children =
+      if here then List.filteri (fun i _ -> i < pos - 1) children
+                   @ (node :: List.filteri (fun i _ -> i >= pos - 1) children)
+      else children
+    in
+    { e with T.children }
+  in
+  { doc with T.root = go doc.T.root }
+
+(* insert-only edits at random places under DEWEY: after every insert the
+   edge table holds exactly the (path, kind, tag, value) rows of a fresh
+   shred of the edited DOM — insertion keeps sibling components dense, so
+   renumbering must land every shifted row where shredding puts it *)
+let prop_dewey_inserts_match_fresh_shred =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 10_000)
+        (list_size (int_range 1 8) (triple (int_bound 1_000) (int_bound 1_000) (int_bound 1_000))))
+  in
+  let print (seed, ops) =
+    Printf.sprintf "seed=%d ops=%s" seed
+      (String.concat ";"
+         (List.map (fun (a, b, c) -> Printf.sprintf "(%d,%d,%d)" a b c) ops))
+  in
+  let rows db ~doc =
+    Reldb.Db.query db
+      (Printf.sprintf "SELECT path, kind, tag, value FROM %s"
+         (O.Encoding.table_name ~doc O.Encoding.Dewey_enc))
+    |> List.map (fun tu ->
+           String.concat "|" (Array.to_list (Array.map Reldb.Value.to_sql_literal tu)))
+    |> List.sort compare
+  in
+  QCheck.Test.make ~name:"DEWEY inserts equal a fresh shred" ~count:40
+    (QCheck.make ~print gen) (fun (seed, ops) ->
+      let doc = Xmllib.Generator.random_tree ~seed ~max_depth:4 ~max_fanout:4 () in
+      let db = Reldb.Db.create () in
+      let store = O.Api.Store.create db ~name:"u" O.Encoding.Dewey_enc doc in
+      let dom = ref doc in
+      List.for_all
+        (fun (k_seed, pos_seed, frag_seed) ->
+          let els = elements !dom.T.root in
+          let k = 1 + (k_seed mod List.length els) in
+          let pos = 1 + (pos_seed mod (List.length (List.nth els (k - 1)).T.children + 1)) in
+          let frag =
+            T.Element
+              (Xmllib.Generator.random_tree ~seed:frag_seed ~max_depth:2 ~max_fanout:3 ()).T.root
+          in
+          let parent = List.nth (O.Api.Store.query_ids store "//*") (k - 1) in
+          ignore (O.Api.Store.insert_subtree store ~parent ~pos frag);
+          dom := dom_insert_under !dom k pos frag;
+          let fresh_db = Reldb.Db.create () in
+          ignore (O.Api.Store.create fresh_db ~name:"f" O.Encoding.Dewey_enc !dom);
+          rows db ~doc:"u" = rows fresh_db ~doc:"f"
+          && O.Integrity.check db ~doc:"u" O.Encoding.Dewey_enc = Ok ())
+        ops)
+
 (* random edit sequences: all encodings converge to the same document and
    keep answering ordered queries correctly *)
 let prop_random_edits =
@@ -539,5 +639,8 @@ let tests =
       Alcotest.test_case "ordpath hotspot growth" `Quick test_ordpath_hotspot_growth;
       Alcotest.test_case "ordpath prepend amortization" `Quick
         test_ordpath_prepend_amortization;
+      Alcotest.test_case "DEWEY rewrites one statement per sibling" `Quick
+        test_dewey_one_rewrite_per_sibling;
+      QCheck_alcotest.to_alcotest prop_dewey_inserts_match_fresh_shred;
       QCheck_alcotest.to_alcotest prop_random_edits;
     ] )

@@ -636,6 +636,45 @@ let test_store_crash_recovery () =
         Alcotest.failf "cut at %d: document is not the %d-op prefix" cut k)
     cuts
 
+(* A DEWEY front insert killed inside its commit: recovery gives the document
+   before the insert or the one after it, never a half-shifted one, and the
+   logged batch moves each shifted sibling's subtree with one UPDATE. *)
+let test_dewey_front_insert_crash () =
+  let module O = Ordered_xml in
+  let module T = Xmllib.Types in
+  let count = 6 in
+  let doc = Xmllib.Generator.flat ~tag:"item" ~count () in
+  let frag = T.element "item" [ T.text "front" ] in
+  let after = { doc with T.root = { doc.T.root with T.children = frag :: doc.T.root.T.children } } in
+  List.iter
+    (fun (point, expected, updates) ->
+      with_dir @@ fun dir ->
+      let db = D.open_dir ~fsync:W.Always dir in
+      let store = O.Api.Store.create db ~name:"s" O.Encoding.Dewey_enc doc in
+      D.checkpoint db;
+      crash_at point (fun () ->
+          ignore
+            (O.Api.Store.insert_subtree store ~parent:(O.Api.Store.root_id store) ~pos:1
+               frag));
+      let logged =
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".log")
+        |> List.concat_map (fun f -> (W.read_file (Filename.concat dir f)).W.records)
+        |> List.concat_map (function W.Batch sqls -> sqls | W.Stmt s -> [ s ])
+      in
+      check int_t (point ^ ": logged UPDATE statements") updates
+        (List.length (List.filter (fun s -> String.starts_with ~prefix:"UPDATE" s) logged));
+      let db2 = D.open_dir dir in
+      let store2 = O.Api.Store.open_existing db2 ~name:"s" O.Encoding.Dewey_enc in
+      (match O.Api.Store.check store2 with
+      | Ok () -> ()
+      | Error msgs ->
+          Alcotest.failf "%s: integrity violated: %s" point (String.concat "; " msgs));
+      check bool_t (point ^ ": recovered document") true
+        (T.equal_document expected (O.Api.Store.document store2));
+      D.close db2)
+    [ ("commit.before_log", doc, 0); ("commit.logged", after, count) ]
+
 let tests =
   ( "wal",
     [
@@ -672,6 +711,8 @@ let crash_tests =
       Alcotest.test_case "writes after recovery are durable" `Quick
         test_write_after_recovery;
       Alcotest.test_case "kill inside commit" `Quick test_crash_in_commit;
+      Alcotest.test_case "kill a DEWEY front insert inside commit" `Quick
+        test_dewey_front_insert_crash;
       Alcotest.test_case "kill at every checkpoint step" `Quick
         test_crash_in_checkpoint;
       Alcotest.test_case "interrupted-checkpoint debris is swept" `Quick
